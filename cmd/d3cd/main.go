@@ -12,8 +12,8 @@
 //
 // Resilience: -max-pending caps the engine-wide pending set (excess
 // submissions shed with a typed "overloaded" reply), -max-inflight caps one
-// connection's unresolved submissions, and -write-timeout bounds each reply
-// write so a client that stops reading is torn down instead of wedging the
+// connection's unresolved submissions, and -write-timeout bounds each write
+// to a connection so a client that stops reading is torn down instead of wedging the
 // server. -chaos-seed installs a deterministic fault injector under every
 // accepted connection (for drills only — never in production): faults are
 // drawn replayably from the seed and reported via the stats op.
@@ -64,7 +64,7 @@ func main() {
 		ckptEvery     = flag.Duration("checkpoint-every", time.Minute, "checkpoint interval with -data-dir (<0 = only on shutdown)")
 		maxPending    = flag.Int("max-pending", 0, "cap on engine-wide pending queries; excess submissions are shed with a typed overloaded error (0 = uncapped)")
 		maxInFlight   = flag.Int("max-inflight", 0, "cap on one connection's unresolved submissions (0 = default 1024, <0 = uncapped)")
-		writeTimeout  = flag.Duration("write-timeout", 0, "per-reply write deadline; a client that stops reading is disconnected (0 = default 10s, <0 = none)")
+		writeTimeout  = flag.Duration("write-timeout", 0, "deadline on each write to a connection; a client that stops reading is disconnected (0 = default 10s, <0 = none)")
 		chaosSeed     = flag.Int64("chaos-seed", 0, "install a deterministic connection fault injector with this seed (0 = off; drills only)")
 	)
 	flag.Parse()

@@ -59,25 +59,28 @@ func TestSubmitBulkAmortisation(t *testing.T) {
 }
 
 // TestSubmitBulkDeferFlush: a deferred bulk ingests without coordinating —
-// everything stays pending — and the next Flush answers the closed pairs.
+// everything stays pending — and the next Flush answers the closed pairs,
+// in either mode (an Incremental engine evaluates nothing at ingest either).
 func TestSubmitBulkDeferFlush(t *testing.T) {
-	e := New(flightsDB(t), Config{Mode: SetAtATime, Shards: 2})
-	defer e.Close()
-	handles, err := e.SubmitBulk([]*ir.Query{
-		ir.MustParse(0, "{R(Jerry, x)} R(Kramer, x) :- F(x, Paris)"),
-		ir.MustParse(0, "{R(Kramer, y)} R(Jerry, y) :- F(y, Paris)"),
-	}, BulkOptions{DeferFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.Pending != 2 || st.BulkFlushes != 0 {
-		t.Fatalf("after deferred bulk: %+v", st)
-	}
-	e.Flush()
-	for i, h := range handles {
-		if r := mustResult(t, h); r.Status != StatusAnswered {
-			t.Fatalf("member %d: %v (%s)", i, r.Status, r.Detail)
+	for _, mode := range []Mode{SetAtATime, Incremental} {
+		e := New(flightsDB(t), Config{Mode: mode, Shards: 2})
+		handles, err := e.SubmitBulk([]*ir.Query{
+			ir.MustParse(0, "{R(Jerry, x)} R(Kramer, x) :- F(x, Paris)"),
+			ir.MustParse(0, "{R(Kramer, y)} R(Jerry, y) :- F(y, Paris)"),
+		}, BulkOptions{DeferFlush: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if st := e.Stats(); st.Pending != 2 || st.BulkFlushes != 0 {
+			t.Fatalf("%v: after deferred bulk: %+v", mode, st)
+		}
+		e.Flush()
+		for i, h := range handles {
+			if r := mustResult(t, h); r.Status != StatusAnswered {
+				t.Fatalf("%v: member %d: %v (%s)", mode, i, r.Status, r.Detail)
+			}
+		}
+		e.Close()
 	}
 }
 

@@ -494,6 +494,83 @@ func TestDurableCleanShutdownReopen(t *testing.T) {
 	}
 }
 
+// TestDurableLowercaseConstantsRecover crashes an engine whose pending
+// queries carry constants that start with a lowercase letter, recovers it
+// from the WAL, and then from a checkpoint. Both logs store Query.String(),
+// so the constants must come back as constants: recovery must neither fail
+// nor let the two unrelated queries answer each other, and a real partner
+// must still coordinate with the first one afterwards.
+func TestDurableLowercaseConstantsRecover(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(memdb.New(), durCfg(dir, wal.Batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load("CREATE TABLE F (fno, dest);\nINSERT INTO F VALUES ('136', 'rome');"); err != nil {
+		t.Fatal(err)
+	}
+	var ids []ir.QueryID
+	for _, src := range []string{
+		"{R('bob', x)} R('u86', x) :- F(x, 'rome')",
+		"{R('u87', x)} R('carl', x) :- F(x, 'rome')",
+	} {
+		h, err := e.Submit(ir.MustParse(0, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, h.ID)
+	}
+	if err := e.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	img := captureDir(t, dir)
+	e.Close()
+
+	// Crash: both admissions are recovered from the WAL alone.
+	crashDir := img.materialize(t, int64(len(img.wal)), nil)
+	e2, err := Open(memdb.New(), durCfg(crashDir, wal.Batch))
+	if err != nil {
+		t.Fatalf("recover from WAL: %v", err)
+	}
+	if st := e2.Stats(); st.Pending != 2 || st.Answered != 0 {
+		t.Fatalf("after WAL recovery: pending %d answered %d, want 2 pending", st.Pending, st.Answered)
+	}
+	// Restart: both come back from the checkpoint Close writes.
+	e2.Close()
+	e3, err := Open(memdb.New(), durCfg(crashDir, wal.Batch))
+	if err != nil {
+		t.Fatalf("recover from checkpoint: %v", err)
+	}
+	defer e3.Close()
+	rec := e3.Recovered()
+	if len(rec) != 2 || rec[0].ID != ids[0] || rec[1].ID != ids[1] {
+		t.Fatalf("recovered %v, want queries %v", rec, ids)
+	}
+	if st := e3.Stats(); st.Pending != 2 || st.Answered != 0 {
+		t.Fatalf("after checkpoint recovery: pending %d answered %d, want 2 pending", st.Pending, st.Answered)
+	}
+	partner, err := e3.Submit(ir.MustParse(0, "{R('u86', y)} R('bob', y) :- F(y, 'rome')"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range []*Handle{rec[0], partner} {
+		r, err := h.Wait(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != StatusAnswered || len(r.Answer.Tuples) != 1 {
+			t.Fatalf("query %d: %v (%s)", h.ID, r.Status, r.Detail)
+		}
+		want := []string{"R('u86', 136)", "R('bob', 136)"}[i]
+		if got := r.Answer.Tuples[0].String(); got != want {
+			t.Fatalf("query %d answered %s, want %s", h.ID, got, want)
+		}
+	}
+	if st := e3.Stats(); st.Pending != 1 {
+		t.Fatalf("pending = %d, want the unrelated query still waiting", st.Pending)
+	}
+}
+
 // TestDurableExpiryLogged checks staleness expiry is a logged transition:
 // an expired query must not come back as pending after recovery, and the
 // stale counter must survive.

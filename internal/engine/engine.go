@@ -58,10 +58,11 @@
 // round can never deliver, and outcomes are observationally identical to
 // evaluating under the lock. Submissions to a shard therefore proceed while
 // that shard's components are being evaluated, and the pool is fed by every
-// shard, so concurrent flushes pipeline across the engine. The one
-// exception is the batch/bulk ingest path, which evaluates synchronously
-// under the held lock: batch ≡ sequential equivalence requires each closing
-// component to retire before the next batch member's admission is decided.
+// shard, so concurrent flushes pipeline across the engine. SubmitBulk and
+// crash recovery (restorePending followed by Flush) take this path too. The
+// one exception is SubmitBatch, which evaluates synchronously under the held
+// lock: batch ≡ sequential equivalence requires each closing component to
+// retire before the next batch member's admission is decided.
 package engine
 
 import (
@@ -148,23 +149,49 @@ type Result struct {
 	Detail  string     // human-readable cause for non-answered statuses
 }
 
-// Handle tracks an in-flight query. Exactly one Result is delivered.
+// Handle tracks an in-flight query. Exactly one Result is delivered: it is
+// buffered on the Done channel and passed to the Notify callback, if any.
 type Handle struct {
 	ID ir.QueryID
 	ch chan Result
-	// hook, when non-nil, is invoked with the Result right after it is
-	// buffered on ch (SubmitBatchNotify). It runs on the delivering
-	// goroutine — possibly under a shard lock — so it must be fast,
-	// non-blocking, and must not call back into the engine.
-	hook func(Result)
+
+	mu        sync.Mutex
+	onResult  func(Result)
+	delivered bool
+	res       Result // set with delivered
 }
 
 // deliver buffers the handle's single Result (ch has capacity 1 and gets
-// exactly one send, so this never blocks) and fires the optional hook.
+// exactly one send, so this never blocks) and runs the Notify callback, if
+// one is installed.
 func (h *Handle) deliver(r Result) {
 	h.ch <- r
-	if h.hook != nil {
-		h.hook(r)
+	h.mu.Lock()
+	h.delivered, h.res = true, r
+	fn := h.onResult
+	h.mu.Unlock()
+	if fn != nil {
+		fn(r)
+	}
+}
+
+// Notify installs fn as the handle's result callback, at most once per
+// handle. If the Result was already delivered, fn runs at once on the
+// calling goroutine; otherwise it runs on the delivering goroutine,
+// possibly under a shard lock, so it must be fast, must not block, and must
+// not call back into the engine. The Done channel receives the Result
+// either way.
+func (h *Handle) Notify(fn func(Result)) {
+	h.mu.Lock()
+	if h.onResult != nil {
+		h.mu.Unlock()
+		panic("engine: Handle.Notify called twice")
+	}
+	h.onResult = fn
+	delivered, r := h.delivered, h.res
+	h.mu.Unlock()
+	if delivered {
+		fn(r)
 	}
 }
 
@@ -762,24 +789,14 @@ func (e *Engine) migrateFamily(root string) {
 // to submitting its queries one at a time: the safety check sees the same
 // admission sequence, incremental evaluation fires at the same points, and
 // per-shard FlushEvery accounting is unchanged. Handles are returned in
-// input order, each delivering exactly one Result.
+// input order, each delivering exactly one Result; Handle.Notify fans them
+// into one stream without a goroutine per query.
 //
 // A concurrent family merge can invalidate routes between the router pass
 // and a shard lock (detected by the generation check, exactly as in Submit);
 // only the not-yet-admitted remainder of the batch is re-routed, so extra
 // passes occur only under cross-submitter merge races, not in steady state.
 func (e *Engine) SubmitBatch(qs []*ir.Query) ([]*Handle, error) {
-	return e.SubmitBatchNotify(qs, nil)
-}
-
-// SubmitBatchNotify is SubmitBatch with a result hook: fn (when non-nil) is
-// installed on every returned handle before admission, and is invoked once
-// per query with its Result, right after the Result is buffered on that
-// handle's channel. This is the multiplexing substrate for subscriptions —
-// one callback fans N results into one stream with no per-query goroutine.
-// fn runs on the delivering goroutine, possibly under a shard lock: it must
-// be fast, non-blocking, and must not call back into the engine.
-func (e *Engine) SubmitBatchNotify(qs []*ir.Query, fn func(Result)) ([]*Handle, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
@@ -811,7 +828,7 @@ func (e *Engine) SubmitBatchNotify(qs []*ir.Query, fn func(Result)) ([]*Handle, 
 		id := ir.QueryID(e.nextID.Add(1))
 		renamed[i] = q.RenamedCopy(id)
 		relss[i] = coordRels(q)
-		handles[i] = &Handle{ID: id, ch: make(chan Result, 1), hook: fn}
+		handles[i] = &Handle{ID: id, ch: make(chan Result, 1)}
 		if e.wal != nil {
 			srcs[i] = q.String()
 			recs[i] = wal.AdmitRecord(int64(id), q.Choose, q.Owner, srcs[i], now.UnixNano())
@@ -941,8 +958,10 @@ func (e *Engine) SubmitSQL(src string) (*Handle, error) {
 }
 
 // Flush runs a set-at-a-time evaluation round over every shard's pending
-// set, shards in parallel. It is a no-op in Incremental mode (arrivals are
-// already evaluated).
+// set, shards in parallel, in either mode. In Incremental mode arrivals are
+// already evaluated, so a flush finds work only where ingest skipped it:
+// deferred bulk loads (BulkOptions.DeferFlush) and recovered pending
+// queries.
 func (e *Engine) Flush() {
 	e.lifeMu.RLock()
 	defer e.lifeMu.RUnlock()

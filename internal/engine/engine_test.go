@@ -353,6 +353,43 @@ func TestWaitTimeout(t *testing.T) {
 	}
 }
 
+// TestHandleNotify: the callback gets the single Result whether it is
+// installed before delivery (runs on the delivering goroutine) or after
+// (runs at once), Done still receives it, and a second Notify panics.
+func TestHandleNotify(t *testing.T) {
+	e := New(flightsDB(t), Config{Mode: Incremental})
+	defer e.Close()
+	var got []ir.QueryID
+	record := func(r Result) { got = append(got, r.QueryID) }
+	h1, err := e.Submit(ir.MustParse(0, "{R(Jerry, x)} R(Kramer, x) :- F(x, Paris)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1.Notify(record) // pending: installed before delivery
+	h2, err := e.Submit(ir.MustParse(0, "{R(Kramer, y)} R(Jerry, y) :- F(y, Paris)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != h1.ID {
+		t.Fatalf("callbacks after the pair closed: %v, want [%d]", got, h1.ID)
+	}
+	h2.Notify(record) // delivered during Submit: runs at once
+	if len(got) != 2 || got[1] != h2.ID {
+		t.Fatalf("callbacks after late Notify: %v, want [%d %d]", got, h1.ID, h2.ID)
+	}
+	for _, h := range []*Handle{h1, h2} {
+		if r := mustResult(t, h); r.Status != StatusAnswered {
+			t.Fatalf("query %d: %v", h.ID, r.Status)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Notify must panic")
+		}
+	}()
+	h1.Notify(record)
+}
+
 func TestManyPairsSetAtATime(t *testing.T) {
 	// A bigger batch through the set-at-a-time path with parallel
 	// component evaluation.

@@ -277,9 +277,9 @@ func (s *shard) collectFlushRounds(rb *roundBatch) {
 }
 
 // flushLocked runs a full flush round synchronously under the held shard
-// lock: collect, evaluate inline, deliver. The batch/bulk ingest paths use
-// it (via submit with rb == nil) where round deferral would reorder
-// coordination against later same-shard admissions.
+// lock: collect, evaluate inline, deliver. SubmitBatch uses it (via submit
+// with rb == nil), where round deferral would reorder coordination against
+// later same-shard admissions.
 func (s *shard) flushLocked() {
 	var rb roundBatch
 	s.collectFlushRounds(&rb)

@@ -13,7 +13,7 @@ import (
 // genQuery builds a random structurally valid query from a fuzz vector.
 func genQuery(rng *rand.Rand) *Query {
 	vars := []string{"x", "y", "z", "w"}
-	consts := []string{"Jerry", "Kramer", "122", "Paris", "multi word'quote"}
+	consts := []string{"Jerry", "Kramer", "122", "Paris", "multi word'quote", "u86"}
 	// Fixed arity per relation name (Validate enforces consistency).
 	bodyRels := map[string]int{"F": 2, "U": 2, "D1": 3}
 	bodyNames := []string{"F", "U", "D1"}
@@ -93,6 +93,32 @@ func TestAtomStringParseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLowercaseConstantRoundTrip: a constant that starts with a lowercase
+// letter must render quoted, or re-parsing reads it as a variable. The WAL
+// and checkpoints log Query.String(), so recovery depends on this.
+func TestLowercaseConstantRoundTrip(t *testing.T) {
+	for _, src := range []string{
+		"{R('Bob', x)} R('u86', x) :- F(x, 'rome')",
+		"{R(Bob, x)} R('it''s', x) :- F(x, 'é')",
+	} {
+		q, err := Parse(1, src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		text := q.String()
+		back, err := Parse(1, text)
+		if err != nil {
+			t.Fatalf("re-parse of %q (rendered from %q): %v", text, src, err)
+		}
+		if !queriesEqual(q, back) {
+			t.Fatalf("%q rendered as %q, which re-parses as %q", src, text, back.String())
+		}
+	}
+	if got := Const("u86").String(); got != "'u86'" {
+		t.Fatalf("Const(u86).String() = %s, want 'u86'", got)
 	}
 }
 

@@ -16,6 +16,8 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // TermKind distinguishes variables from constants.
@@ -53,16 +55,33 @@ func (t Term) IsVar() bool { return t.Kind == KindVar }
 func (t Term) IsConst() bool { return t.Kind == KindConst }
 
 // String renders the term. Variables print as their name; constants print
-// as-is unless they contain characters that would be ambiguous in the IR
-// text syntax, in which case they are single-quoted.
+// as-is when the parser would read them back as the same constant, and
+// single-quoted otherwise.
 func (t Term) String() string {
-	if t.Kind == KindVar {
+	if t.Kind == KindVar || !needsQuoting(t.Value) {
 		return t.Value
 	}
-	if needsQuoting(t.Value) {
-		return "'" + strings.ReplaceAll(t.Value, "'", "''") + "'"
+	var b strings.Builder
+	t.writeTo(&b)
+	return b.String()
+}
+
+// writeTo appends the term's text form to b, quoting in place so callers
+// that render whole atoms allocate nothing per term.
+func (t Term) writeTo(b *strings.Builder) {
+	if t.Kind == KindVar || !needsQuoting(t.Value) {
+		b.WriteString(t.Value)
+		return
 	}
-	return t.Value
+	b.WriteByte('\'')
+	v := t.Value
+	for i := strings.IndexByte(v, '\''); i >= 0; i = strings.IndexByte(v, '\'') {
+		b.WriteString(v[:i+1])
+		b.WriteByte('\'') // a quote inside a quoted constant is doubled
+		v = v[i+1:]
+	}
+	b.WriteString(v)
+	b.WriteByte('\'')
 }
 
 // Key returns a string that uniquely identifies the term across both kinds:
@@ -74,8 +93,11 @@ func (t Term) Key() string {
 	return "c\x00" + t.Value
 }
 
+// needsQuoting reports whether a constant must be quoted to parse back as
+// itself: it is empty, contains a rune outside the bare-word set, or starts
+// with a lowercase letter, which the parser reads as a variable.
 func needsQuoting(s string) bool {
-	if s == "" {
+	if first, _ := utf8.DecodeRuneInString(s); s == "" || unicode.IsLower(first) {
 		return true
 	}
 	for _, r := range s {
@@ -115,7 +137,7 @@ func (a Atom) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(t.String())
+		t.writeTo(&b)
 	}
 	b.WriteByte(')')
 	return b.String()

@@ -10,21 +10,31 @@ import (
 	"testing"
 )
 
-// TestSnapshotUnderConcurrentWriters races WriteSnapshot against inserts
-// and table churn: every snapshot taken mid-churn must be internally
-// consistent (loadable into a fresh database with matching arities), which
-// is what the engine's checkpoint path relies on. Run with -race.
+// TestSnapshotUnderConcurrentWriters races WriteSnapshot against inserts,
+// deletes and table churn: every snapshot taken mid-churn must be
+// internally consistent (loadable into a fresh database with matching
+// arities), which is what the engine's checkpoint path relies on. Run with
+// -race. The writers are unpaced, but each deletes its own rows older than
+// a fixed window, so Base stays bounded however far they outrun the O(rows)
+// snapshots.
 func TestSnapshotUnderConcurrentWriters(t *testing.T) {
+	const window = 1000 // Base rows each writer keeps (plus the one in flight)
 	db := New()
 	db.MustCreateTable("Base", "a", "b")
 	var stop atomic.Bool
+	var writes atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				db.MustInsert("Base", fmt.Sprint(w), fmt.Sprint(i))
+				db.MustInsert("Base", fmt.Sprint(w), fmt.Sprintf("%d-%d", w, i))
+				if i >= window {
+					if _, err := db.Delete("Base", "b", fmt.Sprintf("%d-%d", w, i-window)); err != nil {
+						panic(err)
+					}
+				}
 				name := fmt.Sprintf("T%d_%d", w, i%5)
 				switch i % 3 {
 				case 0:
@@ -34,21 +44,36 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 				default:
 					_ = db.DropTable(name)
 				}
+				writes.Add(1)
 			}
 		}(w)
 	}
-	for i := 0; i < 50; i++ {
+	const snapshots = 50
+	var firstDone, lastStart int64
+	for i := 0; i < snapshots; i++ {
+		if i == snapshots-1 {
+			lastStart = writes.Load()
+		}
 		var buf bytes.Buffer
 		if err := db.WriteSnapshot(&buf); err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		if i == 0 {
+			firstDone = writes.Load()
 		}
 		fresh := New()
 		if err := fresh.ReadSnapshot(&buf); err != nil {
 			t.Fatalf("snapshot %d does not load: %v", i, err)
 		}
+		if n := fresh.Table("Base").Len(); n > 3*(window+1) {
+			t.Fatalf("snapshot %d holds %d Base rows, want ≤ %d", i, n, 3*(window+1))
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
+	if lastStart <= firstDone {
+		t.Fatalf("no writes landed between the first and last snapshot (%d, %d): the race never happened", firstDone, lastStart)
+	}
 }
 
 // TestSnapshotIndexedRoundTrip checks a snapshot restores hash indexes and

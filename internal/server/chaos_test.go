@@ -107,8 +107,8 @@ func TestChaosTokenDedup(t *testing.T) {
 	}
 
 	// The partner coordinates the pair. c1 then sees the partner's ack plus
-	// THREE results: one per query from the forwarders, plus the dup
-	// deliverer re-sending tok-1's result.
+	// THREE results: one per query, plus a second copy of tok-1's result
+	// for the re-send, which attached c1 to tok-1's replay a second time.
 	c1.send(Request{Op: "ir", IR: "{T(K, y)} T(J, y) :- F(y, Rome)", Token: "tok-2"})
 	results := map[int]int{} // id → deliveries
 	var ack2 Response

@@ -272,10 +272,12 @@ func (c *Client) readLoop(conn net.Conn, gen int, acks chan Response) {
 
 // connLost runs when a generation's read loop exits: it fails that
 // generation's waiters with a typed conn-lost result, wakes exchanges
-// blocked on its acks channel, and arms reconnection when enabled.
+// blocked on its acks channel, and arms reconnection when enabled. The loss
+// is recorded before the acks channel closes, so an exchange that fails on
+// it already sees the loss in LocalStats.
 func (c *Client) connLost(conn net.Conn, gen int, acks chan Response, scanErr error) {
 	conn.Close()
-	close(acks) // exchanges blocked on this generation observe !ok
+	defer close(acks) // exchanges blocked on this generation observe !ok
 	c.mu.Lock()
 	if gen != c.gen {
 		c.mu.Unlock()
@@ -481,12 +483,18 @@ attempts:
 }
 
 // killGen force-closes the given generation's connection after an encode
-// failure; its read loop observes the close and runs the normal conn-lost
-// path (fail waiters, arm reconnection).
+// failure and waits for its read loop to observe the close and run the
+// normal conn-lost path (fail waiters, arm reconnection).
 func (c *Client) killGen(gen int) {
 	c.mu.Lock()
 	if c.gen == gen && !c.dead && c.conn != nil {
 		c.conn.Close()
+	}
+	for c.gen == gen && !c.dead {
+		change := c.change
+		c.mu.Unlock()
+		<-change
+		c.mu.Lock()
 	}
 	c.mu.Unlock()
 }
@@ -568,50 +576,37 @@ func (c *Client) SubmitBulk(queries []BatchQuery, deferFlush bool) ([]BatchHandl
 	return c.submitMany(Request{Op: "submit_bulk", Queries: queries, DeferFlush: deferFlush})
 }
 
-// SubmitBulkChunked streams one logical bulk load as a chunked session
-// (bulk_begin, ⌈len/chunkSize⌉ × bulk_chunk, bulk_end), sidestepping the
-// server's 1 MB request-line limit for bulks of any size: each chunk is
-// ingested server-side with its flush deferred, and the whole session
-// coordinates as one round at bulk_end (or at a later flush, when
-// deferFlush is set). chunkSize ≤ 0 picks 512. Handle semantics match
-// SubmitBulk; the session holds the client's request lock end to end, so
-// concurrent submissions cannot interleave with it.
+// SubmitBulkChunked sends one logical bulk load as ⌈len/chunkSize⌉
+// submit_bulk requests with the flush deferred, keeping each request under
+// the server's 1 MB request-line limit, then one flush (skipped when
+// deferFlush is set), so the whole load coordinates as one round.
+// chunkSize ≤ 0 picks 512. Handle semantics match SubmitBulk; the client's
+// request lock is held throughout, so concurrent submissions cannot
+// interleave with the load.
 func (c *Client) SubmitBulkChunked(queries []BatchQuery, chunkSize int, deferFlush bool) ([]BatchHandle, error) {
 	if chunkSize <= 0 {
 		chunkSize = 512
 	}
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
-	ctl := func(req Request) error {
-		ack, _, err := c.exchange(req, false)
-		if err != nil {
-			return err
-		}
-		if ack.Type == "error" {
-			return ack.Err()
-		}
-		return nil
-	}
-	if err := ctl(Request{Op: "bulk_begin", DeferFlush: deferFlush}); err != nil {
-		return nil, err
-	}
 	out := make([]BatchHandle, 0, len(queries))
 	for start := 0; start < len(queries); start += chunkSize {
 		chunk := queries[start:min(start+chunkSize, len(queries))]
-		hs, err := c.exchangeMany(Request{Op: "bulk_chunk", Queries: chunk})
+		hs, err := c.exchangeMany(Request{Op: "submit_bulk", Queries: chunk, DeferFlush: true})
 		if err != nil {
-			// Best-effort close of the server-side session: without it the
-			// connection's bulk latch stays open — every later chunked bulk
-			// would be rejected and already-ingested chunks (flush deferred)
-			// would wait for an unrelated flush. (A lost connection closes
-			// the session server-side anyway.)
-			_ = ctl(Request{Op: "bulk_end"})
+			if !deferFlush {
+				// Best effort: chunks already ingested should not wait for
+				// an unrelated flush.
+				_ = c.controlLocked(Request{Op: "flush"})
+			}
 			return nil, err
 		}
 		out = append(out, hs...)
 	}
-	if err := ctl(Request{Op: "bulk_end"}); err != nil {
-		return nil, err
+	if !deferFlush {
+		if err := c.controlLocked(Request{Op: "flush"}); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -719,8 +714,13 @@ func (s *ClientStmt) Execute(bindings ...string) (ir.QueryID, <-chan Response, e
 // ErrConnLost.
 func (c *Client) control(req Request) error {
 	c.reqMu.Lock()
+	defer c.reqMu.Unlock()
+	return c.controlLocked(req)
+}
+
+// controlLocked is control's core; the caller holds reqMu.
+func (c *Client) controlLocked(req Request) error {
 	ack, _, err := c.exchange(req, false)
-	c.reqMu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ func startDurableServer(t *testing.T, dir string) (*Server, string) {
 
 // TestServerBulkChunked streams one logical bulk as many chunks: every
 // chunk must ride the engine's bulk path with its flush deferred, and the
-// session must coordinate as one round at bulk_end.
+// load must coordinate as one round at the closing flush.
 func TestServerBulkChunked(t *testing.T) {
 	srv, addr := startServer(t, engine.Config{Mode: engine.SetAtATime, Shards: 2})
 	c, err := Dial(addr)
@@ -74,27 +74,13 @@ func TestServerBulkChunked(t *testing.T) {
 		}
 	}
 	// ⌈61/7⌉ chunks, each one engine bulk load; the flushes all came from
-	// the single bulk_end round, not per chunk.
+	// the single closing flush, not per chunk.
 	st := srv.Engine.Stats()
 	if st.BulkLoads != 9 {
 		t.Fatalf("BulkLoads = %d, want 9", st.BulkLoads)
 	}
 	if st.BulkFlushes != 0 {
 		t.Fatalf("BulkFlushes = %d, want 0 (chunks must defer)", st.BulkFlushes)
-	}
-}
-
-// TestServerBulkChunkOutsideSession: session control ops must be guarded.
-func TestServerBulkChunkOutsideSession(t *testing.T) {
-	_, addr := startServer(t, engine.Config{Mode: engine.Incremental})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.submitMany(Request{Op: "bulk_chunk", Queries: []BatchQuery{{IR: "{R(J, x)} R(K, x) :- F(x, Rome)"}}}); err == nil ||
-		!strings.Contains(err.Error(), "outside a bulk session") {
-		t.Fatalf("bulk_chunk outside session: %v", err)
 	}
 }
 

@@ -99,10 +99,10 @@ func TestServerOversizedRequest(t *testing.T) {
 	}
 }
 
-// TestServerShutdownWithPendingQueries pins the forwarder-leak fix: a query
-// with no coordination partner parks a result-forwarding goroutine on its
-// handle; Shutdown must release those forwarders and return rather than
-// leaking them (or hanging on its own WaitGroup).
+// TestServerShutdownWithPendingQueries: a query with no coordination
+// partner leaves a result callback parked on its handle; Shutdown must
+// return with those callbacks still pending instead of hanging on its own
+// WaitGroup.
 func TestServerShutdownWithPendingQueries(t *testing.T) {
 	s, addr := startServer(t, engine.Config{Mode: engine.Incremental})
 	c, err := Dial(addr)

@@ -13,9 +13,6 @@
 //	                                                      unordered bulk load (set-at-a-time per batch)
 //	                 {"op":"subscribe","queries":[…],"token":"…"}
 //	                                                      submit a query set, stream every result back
-//	                 {"op":"bulk_begin","defer_flush":true}  open a chunked bulk session
-//	                 {"op":"bulk_chunk","queries":[…]}    one chunk of the open session
-//	                 {"op":"bulk_end"}                    close the session (flush unless deferred)
 //	                 {"op":"prepare","sql":"SELECT …"}    prepare a statement template
 //	                 {"op":"prepare","ir":"{R(J,x)} R('$1',x) :- F(x,'$2')"}
 //	                                                      … or from IR text
@@ -36,6 +33,18 @@
 //	                 {"type":"result","id":7,"status":"answered","tuples":["R(K, 122)"]}
 //	                 {"type":"stats","stats":{…}}
 //
+// # Delivery
+//
+// Every request gets exactly one in-order reply. A submission's reply is its
+// ack ("ack" for a single query, "batch" for a query set) or an "error";
+// the terminal "result" of each admitted query follows later, asynchronously,
+// once coordination succeeds or fails. Results are pushed by engine
+// callbacks (engine.Handle.Notify) into the connection's outbox, the queue
+// of everything owed to that connection; one writer per connection drains
+// it, coalescing whatever has accumulated into one write. No goroutine waits
+// on any single query. The request loop stops reading while the outbox is
+// over its bound, so a client that stops draining cannot grow it.
+//
 // # Resilience
 //
 // Single submissions (sql / ir / execute) may carry a client-generated
@@ -44,12 +53,11 @@
 // token, and the server suppresses the duplicate admission, re-acks the
 // original engine-assigned id, and re-delivers the terminal result on the
 // new connection. Error replies carry a machine-readable "code" for typed
-// failures (engine overload, WAL poisoning), each reply write runs under the
+// failures (engine overload, WAL poisoning), each write runs under the
 // server's write deadline (a reader that stops draining gets its connection
-// torn down instead of wedging the forwarders behind the shared write lock),
-// and per-connection in-flight submissions are capped (shed with the
-// "overloaded" code). Stats replies include fault-injector counters when a
-// test injector is installed.
+// torn down instead of holding its outbox forever), and per-connection
+// in-flight submissions are capped (shed with the "overloaded" code). Stats
+// replies include fault-injector counters when a test injector is installed.
 //
 // A submit_batch reply carries one item per input query: an engine-assigned
 // id for each accepted query (whose single result later arrives as a normal
@@ -59,32 +67,25 @@
 // touched shard for the whole batch.
 //
 // subscribe admits a query set exactly like submit_batch (same reply shape,
-// same engine fast path) but registers the set as a server-side
-// subscription: every terminal result is collected engine-side as it is
-// delivered and streamed back over the subscribing connection as ordinary
+// same engine fast path) and streams every terminal result back as ordinary
 // "result" messages — one multiplexed push channel for the whole set,
-// instead of the client tracking one pending reply per query. The
-// subscription state outlives the connection. A client that reconnects
-// re-sends the subscribe with the same token: the server does not re-admit
-// — it replays the original batch reply and the full result stream (cached
-// results immediately, the rest as they arrive) on the new connection, and
-// the client dedupes by query id, preserving exactly one outcome per query
-// end to end. Tokens age out of the same bounded window as single-
-// submission tokens.
+// instead of the client tracking one pending reply per query. A tokened
+// subscription, like a tokened single submission, is remembered with its
+// reply and every result so far, and outlives the connection. A client that
+// reconnects re-sends the subscribe with the same token: the server does not
+// re-admit — it replays the original batch reply and the full result stream
+// (cached results immediately, the rest as they arrive) on the new
+// connection, and the client dedupes by query id, preserving exactly one
+// outcome per query end to end. Both kinds of token share one bounded
+// window.
 //
 // submit_bulk has the same request/reply shape but loads the accepted
 // queries through the engine's unordered bulk path: the batch is ingested
 // and coordinated set-at-a-time (no per-query incremental evaluation; see
 // Engine.SubmitBulk for the ordering caveat). defer_flush skips the
-// coordination round after ingest.
-//
-// A chunked bulk session (bulk_begin … bulk_chunk* … bulk_end) streams one
-// logical bulk load as many submit_bulk-sized requests, sidestepping the
-// 1 MB request-line limit: each bulk_chunk is ingested through the engine's
-// bulk path with the flush deferred, and bulk_end runs the single
-// coordination round (unless the session itself was opened deferred). Each
-// chunk gets its own "batch" reply; bulk_end is acknowledged with "ack".
-// One session may be open per connection at a time.
+// coordination round after ingest, so a load larger than the 1 MB request
+// line limit can be sent as several deferred submit_bulk requests followed
+// by one flush (Client.SubmitBulkChunked).
 //
 // load executes through the engine (Engine.Load), so on a durable engine
 // the script is logged write-ahead and survives a crash; checkpoint forces
@@ -102,12 +103,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"entangle/internal/engine"
@@ -173,6 +174,10 @@ type Response struct {
 	// Faults carries the server's fault-injector counters in stats replies,
 	// when a test injector is installed (nil otherwise).
 	Faults *fault.Stats `json:"faults,omitempty"`
+
+	// answer is a result's engine answer, rendered into Tuples by the
+	// connection writer, so engine callbacks never format under a shard lock.
+	answer *ir.Answer
 }
 
 // Typed error codes carried by Response.Code.
@@ -228,16 +233,18 @@ func errCode(err error) string {
 type Server struct {
 	Engine *engine.Engine
 
-	// WriteTimeout bounds each reply write. A reply that cannot complete
-	// within it — a reader that stopped draining, a dead peer — fails the
-	// write and tears the connection down, so one stuck client cannot wedge
-	// the forwarders queueing behind the connection's write lock. 0 picks
-	// the default (10s); negative disables the deadline. Set before Serve.
+	// WriteTimeout bounds each write to a connection. A write that cannot
+	// complete within it — a reader that stopped draining, a dead peer —
+	// tears the connection down, so one stuck client cannot hold its replies
+	// and results forever. 0 picks the default (10s); negative disables the
+	// deadline. Set before Serve.
 	WriteTimeout time.Duration
 	// MaxInFlight caps one connection's submissions whose results have not
-	// yet been forwarded; excess submissions are shed with an "overloaded"
-	// error reply. 0 picks the default (1024); negative disables the cap.
-	// Set before Serve.
+	// yet been queued to it; excess submissions are shed with an
+	// "overloaded" error reply. It also bounds the connection's outbox: the
+	// request loop stops reading while more replies than this wait to be
+	// written. 0 picks the default (1024); negative disables the cap (the
+	// outbox bound stays at the default). Set before Serve.
 	MaxInFlight int
 	// Injector, when set (tests, chaos drills), reports fault-injection
 	// counters in stats replies. The server does not install it anywhere —
@@ -245,117 +252,243 @@ type Server struct {
 	Injector *fault.Injector
 
 	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	conns map[net.Conn]*outbox
 	done  chan struct{}
 	once  sync.Once
-	// wg tracks every connection handler and result-forwarding goroutine, so
-	// Shutdown can wait for them instead of leaking forwarders blocked on
-	// queries that will never resolve (their select exits on done).
+	// wg tracks every connection's request loop and writer, so Shutdown can
+	// wait for them.
 	wg sync.WaitGroup
 
-	// tokens dedupes single submissions by client token within a bounded
-	// window (see Request.Token); tokOrder drives insertion-order eviction.
-	// subs is the same window for subscriptions (token → subscription state).
-	tokMu    sync.Mutex
-	tokens   map[string]*tokenEntry
-	tokOrder []string
-	subs     map[string]*subEntry
-	subOrder []string
+	// replays is the token window: the replay of every tokened single
+	// submission and subscription, keyed by kind and token. ring holds the
+	// keys in insertion order; once it is full each new key evicts the
+	// oldest.
+	repMu   sync.Mutex
+	replays map[replayKey]*replay
+	ring    []replayKey
+	ringPos int
 }
 
-// tokenEntry tracks one tokened submission from admission to terminal
-// result, so a duplicate (a re-send after the client lost its connection)
-// can re-ack the original id and re-deliver the result when it is ready.
-type tokenEntry struct {
-	acked   chan struct{} // closed once id / errResp are decided
-	id      ir.QueryID
-	errResp *Response     // admission failure reply; nil if admitted
-	ready   chan struct{} // closed once res holds the terminal result
-	res     Response
-}
-
-// subEntry is the server-side state of one subscription: the admission
-// outcome plus every terminal result so far, accumulated engine-side by the
-// batch's delivery hook. It outlives any single connection — a delivery
-// goroutine (streamSub) attached to whichever connection sent (or re-sent)
-// the subscribe request streams the cached results and then follows the
-// live tail, so a reconnecting client re-sending its token gets the full
-// stream replayed without re-admitting anything.
-type subEntry struct {
-	acked   chan struct{} // closed once items / errResp are decided
-	items   []BatchItem   // per-query admission outcome, input order
-	errResp *Response     // whole-batch admission failure; nil if admitted
-	total   int           // admitted queries = results owed
-
-	mu      sync.Mutex
-	results []Response    // terminal results, arrival order (append-only)
-	newRes  chan struct{} // closed+replaced on every append (broadcast)
-}
-
-func newSubEntry() *subEntry {
-	return &subEntry{acked: make(chan struct{}), newRes: make(chan struct{})}
-}
-
-// collect is the engine-side delivery hook: it runs on the delivering
-// goroutine (possibly under a shard lock), so it only converts, appends and
-// broadcasts — connection writes happen in streamSub goroutines.
-func (se *subEntry) collect(r engine.Result) {
-	resp := Response{Type: "result", ID: r.QueryID, Status: r.Status.String(), Detail: r.Detail}
-	if r.Answer != nil {
-		for _, tpl := range r.Answer.Tuples {
-			resp.Tuples = append(resp.Tuples, tpl.String())
-		}
-	}
-	se.mu.Lock()
-	se.results = append(se.results, resp)
-	close(se.newRes)
-	se.newRes = make(chan struct{})
-	se.mu.Unlock()
-}
-
-// maxTrackedTokens bounds the dedup window; beyond it the oldest entries
+// maxTrackedTokens bounds the token window; beyond it the oldest entries
 // age out (a client re-sending a request 8k submissions later is asking for
 // a fresh admission, which is the pre-token behavior).
 const maxTrackedTokens = 8192
 
-// rememberTokenLocked registers te under token, evicting entries beyond the
-// window. Caller holds tokMu.
-func (s *Server) rememberTokenLocked(token string, te *tokenEntry) {
-	if s.tokens == nil {
-		s.tokens = make(map[string]*tokenEntry)
+// defaultMaxInFlight is MaxInFlight's default, and the outbox bound when
+// the in-flight cap is disabled.
+const defaultMaxInFlight = 1024
+
+// outbox is one connection's reply queue: replies to its requests and the
+// results owed to it, in the order they must be written. Engine callbacks
+// append to it, possibly under a shard lock, so appending never blocks; the
+// connection's writer goroutine is the only code that writes to the
+// net.Conn.
+type outbox struct {
+	mu     sync.Mutex
+	more   sync.Cond // the writer waits here for replies
+	room   sync.Cond // the request loop waits here while the queue is full
+	queue  []Response
+	closed bool // nothing more is queued: the request loop ended or a write failed
+	owed   int  // results attached to this connection and not yet queued
+}
+
+func newOutbox() *outbox {
+	ob := &outbox{}
+	ob.more.L = &ob.mu
+	ob.room.L = &ob.mu
+	return ob
+}
+
+// send queues replies; after close it drops them.
+func (ob *outbox) send(rs ...Response) {
+	ob.mu.Lock()
+	if !ob.closed {
+		ob.queue = append(ob.queue, rs...)
+		ob.more.Signal()
 	}
-	s.tokens[token] = te
-	s.tokOrder = append(s.tokOrder, token)
-	if len(s.tokOrder) > maxTrackedTokens {
-		n := len(s.tokOrder) - maxTrackedTokens
-		for _, old := range s.tokOrder[:n] {
-			delete(s.tokens, old)
+	ob.mu.Unlock()
+}
+
+// owe counts n more results attached to this connection.
+func (ob *outbox) owe(n int) {
+	ob.mu.Lock()
+	ob.owed += n
+	ob.mu.Unlock()
+}
+
+// result queues one owed result.
+func (ob *outbox) result(r Response) {
+	ob.owe(-1)
+	ob.send(r)
+}
+
+// deliver is the engine callback for an untokened submission's handles.
+func (ob *outbox) deliver(r engine.Result) { ob.result(resultResponse(r)) }
+
+// overloaded reports whether n more results would pass the in-flight cap
+// (limit ≤ 0: no cap).
+func (ob *outbox) overloaded(n, limit int) bool {
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	return limit > 0 && ob.owed+n > limit
+}
+
+// waitRoom blocks while more than limit replies are queued and reports
+// whether the outbox is still open.
+func (ob *outbox) waitRoom(limit int) bool {
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	for len(ob.queue) > limit && !ob.closed {
+		ob.room.Wait()
+	}
+	return !ob.closed
+}
+
+// close stops queueing; what is already queued is still written.
+func (ob *outbox) close() {
+	ob.mu.Lock()
+	ob.closed = true
+	ob.more.Signal()
+	ob.room.Broadcast()
+	ob.mu.Unlock()
+}
+
+// take waits for queued replies and swaps them out for spare, which the
+// writer hands back empty. It returns nil once the outbox is closed and
+// drained.
+func (ob *outbox) take(spare []Response) []Response {
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	for len(ob.queue) == 0 && !ob.closed {
+		ob.more.Wait()
+	}
+	if len(ob.queue) == 0 {
+		return nil
+	}
+	batch := ob.queue
+	ob.queue = spare
+	ob.room.Broadcast()
+	return batch
+}
+
+// fail closes the outbox for good and drops what is queued, so replays
+// still holding it after its connection died retain no buffers.
+func (ob *outbox) fail() {
+	ob.mu.Lock()
+	ob.queue = nil
+	ob.mu.Unlock()
+	ob.close()
+}
+
+// resultResponse converts an engine result to its wire message; the writer
+// renders the answer's tuples.
+func resultResponse(r engine.Result) Response {
+	return Response{Type: "result", ID: r.QueryID, Status: r.Status.String(), Detail: r.Detail, answer: r.Answer}
+}
+
+// replayKey names a tokened request in the token window.
+type replayKey struct {
+	subscribe bool
+	token     string
+}
+
+// replay is the reply stream of one tokened request — a single submission
+// or a subscription: the first reply (ack, batch or error), every result
+// delivered so far, and the outboxes of the connections attached to it. It
+// outlives any one connection. A re-send under the same token attaches its
+// connection instead of admitting again: that outbox receives the first
+// reply and the cached results at once, then the live tail.
+type replay struct {
+	mu      sync.Mutex
+	decided bool // first and total are set
+	first   Response
+	total   int // results owed in all
+	results []Response
+	outs    []*outbox
+}
+
+// attach replays the stream so far to ob and, while results are still owed,
+// feeds it the rest.
+func (rp *replay) attach(ob *outbox) {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	if rp.decided {
+		ob.send(rp.first)
+		ob.send(rp.results...)
+		if len(rp.results) == rp.total {
+			return
 		}
-		s.tokOrder = append(s.tokOrder[:0], s.tokOrder[n:]...)
+		ob.owe(rp.total - len(rp.results))
+	}
+	// Drop the outboxes of connections that have gone away.
+	live := rp.outs[:0]
+	for _, o := range rp.outs {
+		o.mu.Lock()
+		if !o.closed {
+			live = append(live, o)
+		}
+		o.mu.Unlock()
+	}
+	rp.outs = append(live, ob)
+}
+
+// decide records the first reply and how many results follow it, and sends
+// the reply to every attached outbox.
+func (rp *replay) decide(first Response, total int) {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	rp.decided, rp.first, rp.total = true, first, total
+	for _, ob := range rp.outs {
+		ob.send(first)
+		ob.owe(total)
+	}
+	if total == 0 {
+		rp.outs = nil
 	}
 }
 
-// rememberSubLocked registers se under token in the subscription window,
-// with the same bounded insertion-order eviction as single-submission
-// tokens. Caller holds tokMu.
-func (s *Server) rememberSubLocked(token string, se *subEntry) {
-	if s.subs == nil {
-		s.subs = make(map[string]*subEntry)
+// deliver is the engine callback for a tokened request's handles: it caches
+// the result and queues it to every attached outbox.
+func (rp *replay) deliver(r engine.Result) {
+	resp := resultResponse(r)
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	rp.results = append(rp.results, resp)
+	for _, ob := range rp.outs {
+		ob.result(resp)
 	}
-	s.subs[token] = se
-	s.subOrder = append(s.subOrder, token)
-	if len(s.subOrder) > maxTrackedTokens {
-		n := len(s.subOrder) - maxTrackedTokens
-		for _, old := range s.subOrder[:n] {
-			delete(s.subs, old)
-		}
-		s.subOrder = append(s.subOrder[:0], s.subOrder[n:]...)
+	if len(rp.results) == rp.total {
+		rp.outs = nil
 	}
+}
+
+// track returns the replay registered under key, or registers a new one
+// with ob attached. dup reports an existing replay.
+func (s *Server) track(key replayKey, ob *outbox) (rp *replay, dup bool) {
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	if rp := s.replays[key]; rp != nil {
+		return rp, true
+	}
+	if s.replays == nil {
+		s.replays = make(map[replayKey]*replay)
+		s.ring = make([]replayKey, 0, maxTrackedTokens)
+	}
+	rp = &replay{outs: []*outbox{ob}}
+	s.replays[key] = rp
+	if len(s.ring) < maxTrackedTokens {
+		s.ring = append(s.ring, key)
+	} else {
+		delete(s.replays, s.ring[s.ringPos])
+		s.ring[s.ringPos] = key
+		s.ringPos = (s.ringPos + 1) % maxTrackedTokens
+	}
+	return rp, false
 }
 
 // New returns a server for the given engine.
 func New(e *engine.Engine) *Server {
-	return &Server{Engine: e, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
+	return &Server{Engine: e, conns: make(map[net.Conn]*outbox), done: make(chan struct{})}
 }
 
 // Serve accepts connections until the listener is closed or Shutdown is
@@ -381,20 +514,25 @@ func (s *Server) Serve(l net.Listener) error {
 			continue
 		default:
 		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
+		ob := newOutbox()
+		s.conns[conn] = ob
+		s.wg.Add(2)
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			s.handle(conn)
+			s.writeLoop(conn, ob)
+		}()
+		go func() {
+			defer s.wg.Done()
+			s.handle(conn, ob)
 		}()
 	}
 }
 
-// Shutdown closes all client connections and waits for their handlers and
-// in-flight result forwarders to finish. Forwarders waiting on queries that
-// will never resolve (pending coordination) exit via the done channel rather
-// than leaking. The caller should also close the listener passed to Serve.
+// Shutdown closes all client connections and waits for their request loops
+// and writers to finish. Results of queries still pending are dropped: the
+// engine callbacks that would queue them find the outboxes closed. The
+// caller should also close the listener passed to Serve.
 func (s *Server) Shutdown() {
 	s.once.Do(func() { close(s.done) })
 	s.mu.Lock()
@@ -405,201 +543,122 @@ func (s *Server) Shutdown() {
 	s.wg.Wait()
 }
 
-func (s *Server) handle(conn net.Conn) {
+// writeLoop is the connection's only writer: it drains the outbox, encodes
+// each drained burst into one reused buffer and sends it with one Write
+// under the write deadline. A failed write, or a closed and drained outbox,
+// closes the connection; a stuck reader or a dead peer makes it useless, and
+// closing it also ends the request loop.
+func (s *Server) writeLoop(conn net.Conn, ob *outbox) {
 	defer func() {
+		ob.fail()
+		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		conn.Close()
 	}()
-	writeTimeout := s.WriteTimeout
-	if writeTimeout == 0 {
-		writeTimeout = 10 * time.Second
-	} else if writeTimeout < 0 {
-		writeTimeout = 0
+	timeout := s.WriteTimeout
+	if timeout == 0 {
+		timeout = 10 * time.Second
 	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	var tuples []string
+	var spare []Response
+	for {
+		msgs := ob.take(spare)
+		if msgs == nil {
+			return
+		}
+		buf.Reset()
+		for i := range msgs {
+			r := &msgs[i]
+			if r.answer != nil {
+				tuples = tuples[:0]
+				for _, tpl := range r.answer.Tuples {
+					tuples = append(tuples, tpl.String())
+				}
+				r.Tuples = tuples
+			}
+			enc.Encode(r) // cannot fail: every field has a JSON encoding
+			*r = Response{}
+		}
+		spare = msgs[:0]
+		if timeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(timeout))
+		}
+		if _, err := conn.Write(buf.Bytes()); err != nil {
+			return
+		}
+	}
+}
+
+func (s *Server) handle(conn net.Conn, ob *outbox) {
+	// Once the request loop ends, the writer flushes what is queued and
+	// closes the connection.
+	defer ob.close()
 	maxInFlight := s.MaxInFlight
 	if maxInFlight == 0 {
-		maxInFlight = 1024
-	} else if maxInFlight < 0 {
-		maxInFlight = 0
+		maxInFlight = defaultMaxInFlight
 	}
-
-	var wmu sync.Mutex // serialises concurrent result writers
-	write := func(r Response) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		b, err := json.Marshal(r)
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if writeTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
-		if _, err := conn.Write(b); err != nil {
-			// A reply that cannot be written — stuck reader, dead peer —
-			// makes the connection useless. Close it so every writer queued
-			// on wmu fails fast instead of each waiting out its own deadline
-			// behind a stuck pipe, and so the request scanner unblocks.
-			conn.Close()
-			return err
-		}
-		return nil
+	queueLimit := maxInFlight
+	if queueLimit < 0 {
+		queueLimit = defaultMaxInFlight
 	}
+	var one [1]*engine.Handle // a single submission's handle, passed as a set
 
-	// inFlight counts this connection's submissions whose results have not
-	// yet been forwarded (or abandoned at shutdown).
-	var inFlight atomic.Int64
-
-	// forward streams a handle's single result back to the client. It runs
-	// as a tracked goroutine and gives up on server shutdown: a query still
-	// pending then will never resolve (the engine closes after the server),
-	// and a forwarder blocked on it would leak past Shutdown. A tokened
-	// submission's result is cached on its entry BEFORE the write, so a
-	// re-send on a fresh connection can re-deliver what this write may be
-	// about to lose.
-	forward := func(h *engine.Handle, te *tokenEntry) {
-		defer s.wg.Done()
-		defer inFlight.Add(-1)
-		select {
-		case r := <-h.Done():
-			resp := Response{Type: "result", ID: r.QueryID, Status: r.Status.String(), Detail: r.Detail}
-			if r.Answer != nil {
-				for _, tpl := range r.Answer.Tuples {
-					resp.Tuples = append(resp.Tuples, tpl.String())
-				}
-			}
-			if te != nil {
-				te.res = resp
-				close(te.ready)
-			}
-			write(resp)
-		case <-s.done:
-		}
-	}
-	spawn := func(h *engine.Handle, te *tokenEntry) {
-		inFlight.Add(1)
-		s.wg.Add(1)
-		go forward(h, te)
-	}
-
-	// streamSub attaches a subscription to THIS connection: once the
-	// admission outcome is decided it replies (batch or error), then streams
-	// every cached result and follows the live tail until all results owed
-	// have been written, the connection dies, or the server shuts down. Each
-	// subscribe request — original or a token re-send after a reconnect —
-	// gets its own streamSub, always replaying from the start; the client
-	// dedupes by query id.
-	streamSub := func(se *subEntry, token string) {
-		defer s.wg.Done()
-		select {
-		case <-se.acked:
-		case <-s.done:
-			return
-		}
-		if se.errResp != nil {
-			resp := *se.errResp
-			resp.Token = token
-			write(resp)
-			return
-		}
-		if write(Response{Type: "batch", Items: se.items, Token: token}) != nil {
-			return
-		}
-		inFlight.Add(int64(se.total))
-		sent := 0
-		defer func() { inFlight.Add(int64(sent - se.total)) }() // undelivered remainder
-		for sent < se.total {
-			se.mu.Lock()
-			pending := se.results[sent:]
-			wait := se.newRes
-			se.mu.Unlock()
-			for _, r := range pending {
-				if write(r) != nil {
-					return
-				}
-				sent++
-				inFlight.Add(-1)
-			}
-			if sent >= se.total {
-				return
-			}
-			select {
-			case <-wait:
-			case <-s.done:
-				return
-			}
-		}
-	}
-
-	// overloadedConn sheds work beyond the connection's in-flight cap.
-	overloadedConn := func(n int) bool {
-		return maxInFlight > 0 && inFlight.Load()+int64(n) > int64(maxInFlight)
-	}
-
-	// submitOne runs a single tokened submission end to end: in-flight cap,
-	// duplicate suppression, admission, ack, result forwarder. A duplicate
-	// token (a client re-sending after a lost connection) never re-admits:
-	// it re-acks the original engine-assigned id and re-delivers the
-	// terminal result to THIS connection once the original forwarder has it.
-	submitOne := func(token string, admit func() (*engine.Handle, error)) {
-		if overloadedConn(1) {
-			write(Response{Type: "error", Code: CodeOverloaded, Token: token,
+	// submit runs one submission end to end: in-flight cap, token window,
+	// admission, first reply, results. A token already in the window
+	// attaches this connection to the original replay instead of admitting
+	// again. admit returns the first reply (ack, batch or error) and the
+	// admitted handles.
+	submit := func(kind replayKey, n int, admit func() (Response, []*engine.Handle)) {
+		if ob.overloaded(n, maxInFlight) {
+			ob.send(Response{Type: "error", Code: CodeOverloaded, Token: kind.token,
 				Error: "server: connection in-flight cap reached"})
 			return
 		}
-		var te, dup *tokenEntry
-		if token != "" {
-			s.tokMu.Lock()
-			if prev, ok := s.tokens[token]; ok {
-				dup = prev
-			} else {
-				te = &tokenEntry{acked: make(chan struct{}), ready: make(chan struct{})}
-				s.rememberTokenLocked(token, te)
+		var rp *replay
+		if kind.token != "" {
+			var dup bool
+			if rp, dup = s.track(kind, ob); dup {
+				rp.attach(ob)
+				return
 			}
-			s.tokMu.Unlock()
 		}
-		if dup != nil {
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				select {
-				case <-dup.acked:
-				case <-s.done:
-					return
-				}
-				if dup.errResp != nil {
-					write(*dup.errResp)
-					return
-				}
-				if write(Response{Type: "ack", ID: dup.id, Token: token}) != nil {
-					return
-				}
-				select {
-				case <-dup.ready:
-					write(dup.res)
-				case <-s.done:
-				}
-			}()
-			return
+		first, hs := admit()
+		first.Token = kind.token
+		var deliver func(engine.Result)
+		if rp == nil {
+			ob.send(first)
+			ob.owe(len(hs))
+			deliver = ob.deliver
+		} else {
+			rp.decide(first, len(hs))
+			deliver = rp.deliver
 		}
-		h, err := admit()
+		for _, h := range hs {
+			h.Notify(deliver)
+		}
+	}
+	single := func(h *engine.Handle, err error) (Response, []*engine.Handle) {
 		if err != nil {
-			resp := Response{Type: "error", Error: err.Error(), Code: errCode(err), Token: token}
-			if te != nil {
-				te.errResp = &resp
-				close(te.acked)
-			}
-			write(resp)
-			return
+			return Response{Type: "error", Error: err.Error(), Code: errCode(err)}, nil
 		}
-		if te != nil {
-			te.id = h.ID
-			close(te.acked)
+		one[0] = h
+		return Response{Type: "ack", ID: h.ID}, one[:]
+	}
+	// many admits a batch-shaped payload through admitFn: every query is
+	// parsed first so one bad query fails only its own item.
+	many := func(queries []BatchQuery, admitFn func([]*ir.Query) ([]*engine.Handle, error)) (Response, []*engine.Handle) {
+		items, qs, slots := s.parseQueries(queries)
+		hs, err := admitFn(qs)
+		if err != nil {
+			return Response{Type: "error", Error: err.Error(), Code: errCode(err)}, nil
 		}
-		write(Response{Type: "ack", ID: h.ID, Token: token})
-		spawn(h, te)
+		for j, h := range hs {
+			items[slots[j]] = BatchItem{ID: h.ID}
+		}
+		return Response{Type: "batch", Items: items}, hs
 	}
 
 	// Prepared statements are connection-scoped: only this handler touches
@@ -608,67 +667,29 @@ func (s *Server) handle(conn net.Conn) {
 	stmts := make(map[int]*engine.Stmt)
 	nextStmt := 0
 
-	// Chunked bulk session state (also connection-scoped): between
-	// bulk_begin and bulk_end every bulk_chunk ingests with the flush
-	// deferred, so the whole session coordinates as one round at bulk_end.
-	bulkOpen := false
-	bulkDefer := false
-
-	// parseQueries validates a batch-shaped payload: one BatchItem per
-	// input (errors filled in for refused queries), plus the parsed queries
-	// and their item slots.
-	parseQueries := func(queries []BatchQuery) ([]BatchItem, []*ir.Query, []int) {
-		items := make([]BatchItem, len(queries))
-		var qs []*ir.Query
-		var slots []int
-		for i, bq := range queries {
-			var q *ir.Query
-			var err error
-			switch {
-			case bq.SQL != "":
-				q, err = s.Engine.ParseSQL(bq.SQL)
-			case bq.IR != "":
-				q, err = ir.Parse(0, bq.IR)
-			default:
-				err = fmt.Errorf("batch query %d: neither sql nor ir set", i)
-			}
-			if err == nil {
-				err = q.Validate()
-			}
-			if err != nil {
-				items[i] = BatchItem{Error: err.Error()}
-				continue
-			}
-			qs = append(qs, q)
-			slots = append(slots, i)
-		}
-		return items, qs, slots
-	}
-
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
+	for ob.waitRoom(queueLimit) && sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var req Request
 		if err := json.Unmarshal(line, &req); err != nil {
-			write(Response{Type: "error", Error: fmt.Sprintf("bad request: %v", err)})
+			ob.send(Response{Type: "error", Error: fmt.Sprintf("bad request: %v", err)})
 			continue
 		}
 		switch req.Op {
 		case "sql", "ir":
-			req := req
-			submitOne(req.Token, func() (*engine.Handle, error) {
+			submit(replayKey{token: req.Token}, 1, func() (Response, []*engine.Handle) {
 				if req.Op == "sql" {
-					return s.Engine.SubmitSQL(req.SQL)
+					return single(s.Engine.SubmitSQL(req.SQL))
 				}
 				q, err := ir.Parse(0, req.IR)
 				if err != nil {
-					return nil, err
+					return single(nil, err)
 				}
-				return s.Engine.Submit(q)
+				return single(s.Engine.Submit(q))
 			})
 		case "prepare":
 			var st *engine.Stmt
@@ -686,157 +707,50 @@ func (s *Server) handle(conn net.Conn) {
 				err = fmt.Errorf("prepare: neither sql nor ir set")
 			}
 			if err != nil {
-				write(Response{Type: "error", Error: err.Error()})
+				ob.send(Response{Type: "error", Error: err.Error()})
 				continue
 			}
 			nextStmt++
 			stmts[nextStmt] = st
-			write(Response{Type: "prepared", Stmt: nextStmt, Params: st.NumParams()})
+			ob.send(Response{Type: "prepared", Stmt: nextStmt, Params: st.NumParams()})
 		case "execute":
 			st, ok := stmts[req.Stmt]
 			if !ok {
-				write(Response{Type: "error", Token: req.Token, Error: fmt.Sprintf("execute: unknown statement %d", req.Stmt)})
+				ob.send(Response{Type: "error", Token: req.Token, Error: fmt.Sprintf("execute: unknown statement %d", req.Stmt)})
 				continue
 			}
-			bindings := req.Bindings
-			submitOne(req.Token, func() (*engine.Handle, error) {
-				return st.Submit(bindings...)
+			submit(replayKey{token: req.Token}, 1, func() (Response, []*engine.Handle) {
+				return single(st.Submit(req.Bindings...))
 			})
-		case "submit_batch", "submit_bulk":
-			if overloadedConn(len(req.Queries)) {
-				write(Response{Type: "error", Code: CodeOverloaded,
-					Error: "server: connection in-flight cap reached"})
-				continue
-			}
-			// Parse every query first so one bad query fails only its own
-			// item; the good ones are admitted through the engine's batched
-			// fast path in input order (submit_batch) or its unordered
-			// set-at-a-time bulk path (submit_bulk).
-			items, qs, slots := parseQueries(req.Queries)
-			var handles []*engine.Handle
-			var err error
-			if req.Op == "submit_bulk" {
-				handles, err = s.Engine.SubmitBulk(qs, engine.BulkOptions{DeferFlush: req.DeferFlush})
-			} else {
-				handles, err = s.Engine.SubmitBatch(qs)
-			}
-			if err != nil {
-				write(Response{Type: "error", Error: err.Error(), Code: errCode(err)})
-				continue
-			}
-			for j, h := range handles {
-				items[slots[j]] = BatchItem{ID: h.ID}
-			}
-			write(Response{Type: "batch", Items: items})
-			for _, h := range handles {
-				spawn(h, nil)
-			}
+		case "submit_batch":
+			submit(replayKey{}, len(req.Queries), func() (Response, []*engine.Handle) {
+				return many(req.Queries, s.Engine.SubmitBatch)
+			})
+		case "submit_bulk":
+			submit(replayKey{}, len(req.Queries), func() (Response, []*engine.Handle) {
+				return many(req.Queries, func(qs []*ir.Query) ([]*engine.Handle, error) {
+					return s.Engine.SubmitBulk(qs, engine.BulkOptions{DeferFlush: req.DeferFlush})
+				})
+			})
 		case "subscribe":
-			// A token re-send attaches a new delivery stream to the original
-			// subscription (no re-admission); a fresh token (or none) admits
-			// the set through the engine's batched path with a result hook
-			// collecting into the subscription entry.
-			var se *subEntry
-			dup := false
-			if req.Token != "" {
-				s.tokMu.Lock()
-				se, dup = s.subs[req.Token], s.subs[req.Token] != nil
-				s.tokMu.Unlock()
-			}
-			if !dup {
-				// Shed before registering the token, so a shed subscribe can
-				// be retried under the same token as a fresh admission.
-				if overloadedConn(len(req.Queries)) {
-					write(Response{Type: "error", Code: CodeOverloaded, Token: req.Token,
-						Error: "server: connection in-flight cap reached"})
-					continue
-				}
-				se = newSubEntry()
-				if req.Token != "" {
-					s.tokMu.Lock()
-					if prev, ok := s.subs[req.Token]; ok {
-						// A concurrent re-send won the race; attach to it.
-						se, dup = prev, true
-					} else {
-						s.rememberSubLocked(req.Token, se)
-					}
-					s.tokMu.Unlock()
-				}
-			}
-			if !dup {
-				items, qs, slots := parseQueries(req.Queries)
-				handles, err := s.Engine.SubmitBatchNotify(qs, se.collect)
-				if err != nil {
-					se.errResp = &Response{Type: "error", Error: err.Error(), Code: errCode(err)}
-					close(se.acked)
-				} else {
-					for j, h := range handles {
-						items[slots[j]] = BatchItem{ID: h.ID}
-					}
-					se.items = items
-					se.total = len(handles)
-					close(se.acked)
-				}
-			}
-			s.wg.Add(1)
-			go streamSub(se, req.Token)
-		case "bulk_begin":
-			if bulkOpen {
-				write(Response{Type: "error", Error: "bulk session already open"})
-				continue
-			}
-			bulkOpen, bulkDefer = true, req.DeferFlush
-			write(Response{Type: "ack"})
-		case "bulk_chunk":
-			if !bulkOpen {
-				write(Response{Type: "error", Error: "bulk_chunk outside a bulk session"})
-				continue
-			}
-			if overloadedConn(len(req.Queries)) {
-				write(Response{Type: "error", Code: CodeOverloaded,
-					Error: "server: connection in-flight cap reached"})
-				continue
-			}
-			items, qs, slots := parseQueries(req.Queries)
-			// Every chunk defers its flush: the session coordinates once, at
-			// bulk_end. Unsafe rejections still deliver per chunk.
-			handles, err := s.Engine.SubmitBulk(qs, engine.BulkOptions{DeferFlush: true})
-			if err != nil {
-				write(Response{Type: "error", Error: err.Error(), Code: errCode(err)})
-				continue
-			}
-			for j, h := range handles {
-				items[slots[j]] = BatchItem{ID: h.ID}
-			}
-			write(Response{Type: "batch", Items: items})
-			for _, h := range handles {
-				spawn(h, nil)
-			}
-		case "bulk_end":
-			if !bulkOpen {
-				write(Response{Type: "error", Error: "bulk_end outside a bulk session"})
-				continue
-			}
-			bulkOpen = false
-			if !bulkDefer {
-				s.Engine.Flush()
-			}
-			write(Response{Type: "ack"})
+			submit(replayKey{subscribe: true, token: req.Token}, len(req.Queries), func() (Response, []*engine.Handle) {
+				return many(req.Queries, s.Engine.SubmitBatch)
+			})
 		case "load":
 			if err := s.Engine.Load(req.SQL); err != nil {
-				write(Response{Type: "error", Error: err.Error()})
+				ob.send(Response{Type: "error", Error: err.Error()})
 				continue
 			}
-			write(Response{Type: "ack"})
+			ob.send(Response{Type: "ack"})
 		case "flush":
 			s.Engine.Flush()
-			write(Response{Type: "ack"})
+			ob.send(Response{Type: "ack"})
 		case "checkpoint":
 			if err := s.Engine.Checkpoint(); err != nil {
-				write(Response{Type: "error", Error: err.Error()})
+				ob.send(Response{Type: "error", Error: err.Error()})
 				continue
 			}
-			write(Response{Type: "ack"})
+			ob.send(Response{Type: "ack"})
 		case "stats":
 			st := s.Engine.Stats()
 			resp := Response{Type: "stats", Stats: &st}
@@ -844,9 +758,9 @@ func (s *Server) handle(conn net.Conn) {
 				fs := s.Injector.Stats()
 				resp.Faults = &fs
 			}
-			write(resp)
+			ob.send(resp)
 		default:
-			write(Response{Type: "error", Error: fmt.Sprintf("unknown op %q", req.Op)})
+			ob.send(Response{Type: "error", Error: fmt.Sprintf("unknown op %q", req.Op)})
 		}
 	}
 	// A scan that stops on a read error — most notably a request line over
@@ -854,6 +768,37 @@ func (s *Server) handle(conn net.Conn) {
 	// leaving the client's pending request/reply exchange hung. Tell the
 	// client why before closing (best effort: the conn may already be gone).
 	if err := sc.Err(); err != nil {
-		write(Response{Type: "error", Error: fmt.Sprintf("read: %v", err)})
+		ob.send(Response{Type: "error", Error: fmt.Sprintf("read: %v", err)})
 	}
+}
+
+// parseQueries validates a batch-shaped payload: one BatchItem per input
+// (errors filled in for refused queries), plus the parsed queries and their
+// item slots.
+func (s *Server) parseQueries(queries []BatchQuery) ([]BatchItem, []*ir.Query, []int) {
+	items := make([]BatchItem, len(queries))
+	var qs []*ir.Query
+	var slots []int
+	for i, bq := range queries {
+		var q *ir.Query
+		var err error
+		switch {
+		case bq.SQL != "":
+			q, err = s.Engine.ParseSQL(bq.SQL)
+		case bq.IR != "":
+			q, err = ir.Parse(0, bq.IR)
+		default:
+			err = fmt.Errorf("batch query %d: neither sql nor ir set", i)
+		}
+		if err == nil {
+			err = q.Validate()
+		}
+		if err != nil {
+			items[i] = BatchItem{Error: err.Error()}
+			continue
+		}
+		qs = append(qs, q)
+		slots = append(slots, i)
+	}
+	return items, qs, slots
 }

@@ -12,8 +12,8 @@ import (
 // over one channel, in delivery order — the streaming alternative to
 // holding one Handle per query. Heavy-traffic callers submitting thousands
 // of entangled queries consume a single channel instead of selecting over
-// thousands of Done channels; internally the engine fans results in with a
-// per-delivery callback, so a subscription costs no goroutines at all.
+// thousands of Done channels; internally each engine handle's Notify
+// callback fans its result in, so a subscription costs no goroutines at all.
 type Subscription struct {
 	ids       []ir.QueryID
 	ch        chan Result
@@ -45,21 +45,24 @@ func (s *System) Subscribe(ctx context.Context, qs []*ir.Query) (*Subscription, 
 		close(sub.ch)
 		return sub, nil
 	}
-	// The hook runs on the delivering goroutine; the buffered channel (one
-	// slot per query, exactly one result per query) makes the send
-	// non-blocking by construction.
-	ehs, err := s.eng.SubmitBatchNotify(qs, func(r engine.Result) {
+	ehs, err := s.eng.SubmitBatch(qs)
+	if err != nil {
+		return nil, wrapSubmitErr(err)
+	}
+	// The callback runs on the delivering goroutine (or here, for results
+	// delivered during admission); the buffered channel (one slot per query,
+	// exactly one result per query) makes the send non-blocking by
+	// construction.
+	deliver := func(r engine.Result) {
 		sub.ch <- Result{QueryID: r.QueryID, Status: r.Status, Answer: r.Answer, Detail: r.Detail}
 		if sub.remaining.Add(-1) == 0 {
 			close(sub.ch)
 		}
-	})
-	if err != nil {
-		return nil, wrapSubmitErr(err)
 	}
 	sub.ids = make([]ir.QueryID, len(ehs))
 	for i, eh := range ehs {
 		sub.ids[i] = eh.ID
+		eh.Notify(deliver)
 	}
 	return sub, nil
 }
