@@ -28,8 +28,10 @@
 // submitted query may wait for partners, every handle resolves to exactly
 // one Result, and Wait respects context cancellation without losing the
 // result for a later Wait. Batches go through SubmitBatch, which admits a
-// whole batch with one routing pass and one lock acquisition per engine
-// shard while staying equivalent to one-at-a-time submission; bulk loads go
+// whole batch with one routing pass and one admission lock per touched
+// engine shard — released only while a member's coordination round
+// evaluates, as for Submit — so it stays equivalent to one-at-a-time
+// submission; bulk loads go
 // through SubmitBulk, which additionally drops the intra-batch ordering
 // guarantee to ingest and coordinate each batch set-at-a-time — the cheaper
 // path whenever the batch is a set, not a sequence (see "Bulk loading" in

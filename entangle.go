@@ -296,10 +296,12 @@ func (s *System) SubmitIR(ctx context.Context, irText string) (*Handle, error) {
 }
 
 // SubmitBatch enqueues many queries at once, returning one handle per query
-// in input order. The batch takes a single routing pass and one lock
-// acquisition per touched engine shard, amortising the per-query submission
-// overhead for bulk loads; outcomes are identical to submitting the queries
-// one at a time in order. Returns ErrClosed after Close.
+// in input order. The batch takes a single routing pass and one admission
+// lock acquisition per touched engine shard, amortising the per-query
+// submission overhead for bulk loads; the lock is released only while a
+// member's coordination round evaluates, exactly as for Submit, so outcomes
+// are identical to submitting the queries one at a time in order. Returns
+// ErrClosed after Close.
 func (s *System) SubmitBatch(ctx context.Context, qs []*ir.Query) ([]*Handle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"entangle/internal/ir"
 )
@@ -144,5 +146,159 @@ func TestSubmitBatchValidation(t *testing.T) {
 	}
 	if st := e.Stats(); st.Submitted != 0 {
 		t.Fatalf("failed batch admitted queries: %+v", st)
+	}
+}
+
+// TestSubmitBatchRoundsRunOutOfLock: a batch member's coordination round
+// evaluates with the shard lock released, exactly like Submit's. The round
+// the closing member triggers is parked in the evaluation hook, and a
+// concurrent Submit to the same (only) shard must complete meanwhile. The
+// set-at-a-time case parks a FlushEvery-triggered round instead. Only the
+// batch's one admission lock is counted: the settle re-acquisitions are not.
+func TestSubmitBatchRoundsRunOutOfLock(t *testing.T) {
+	for _, cfg := range []Config{
+		{Mode: Incremental, Shards: 1},
+		{Mode: SetAtATime, Shards: 1, FlushEvery: 2},
+	} {
+		t.Run(cfg.Mode.String(), func(t *testing.T) {
+			e := New(flightsDB(t), cfg)
+			defer e.Close()
+			entered, release := blockFirstEval(e)
+
+			type batchResult struct {
+				hs  []*Handle
+				err error
+			}
+			batchDone := make(chan batchResult, 1)
+			go func() {
+				hs, err := e.SubmitBatch([]*ir.Query{
+					ir.MustParse(0, "{R(Jerry, x)} R(Kramer, x) :- F(x, Paris)"),
+					ir.MustParse(0, "{R(Kramer, y)} R(Jerry, y) :- F(y, Paris)"),
+					ir.MustParse(0, "{R(Nobody, z)} R(Elaine, z) :- F(z, Rome)"),
+				})
+				batchDone <- batchResult{hs, err}
+			}()
+			select {
+			case <-entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the batch's closing member never reached out-of-lock evaluation")
+			}
+
+			submitted := make(chan error, 1)
+			go func() {
+				_, err := e.Submit(ir.MustParse(0, "{R(Nobody, w)} R(George, w) :- F(w, Rome)"))
+				submitted <- err
+			}()
+			select {
+			case err := <-submitted:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Submit blocked behind a batch member's round: shard lock held during eval")
+			}
+			close(release)
+
+			br := <-batchDone
+			if br.err != nil {
+				t.Fatal(br.err)
+			}
+			for _, h := range br.hs[:2] {
+				if r := mustResult(t, h); r.Status != StatusAnswered {
+					t.Fatalf("query %d: %v (%s)", h.ID, r.Status, r.Detail)
+				}
+			}
+			select {
+			case r := <-br.hs[2].Done():
+				t.Fatalf("loner resolved prematurely: %v", r)
+			default:
+			}
+			if st := e.Stats(); st.SubmitLocks != 2 || st.RouterPasses != 2 {
+				t.Fatalf("batch + single took %d submit locks / %d router passes, want 2 / 2", st.SubmitLocks, st.RouterPasses)
+			}
+		})
+	}
+}
+
+// TestSubmitBatchRemainderReroutes: while a batch member's round evaluates
+// out of lock, the evaluation hook submits a bridging query that merges the
+// family of the batch's LATER members onto another shard. When the batch
+// re-locks its shard the routing generation has moved, so the unadmitted
+// remainder must go back through the router and land on the new home —
+// and every handle still receives exactly one Result.
+func TestSubmitBatchRemainderReroutes(t *testing.T) {
+	const shards = 8
+	home := func(rel string) int { return int(relHash(rel) % shards) }
+	// P and X share a home shard, so one batch group holds both pairs; Y
+	// hashes below X onto a different shard, so merging {X, Y} re-homes X.
+	var p, x, y string
+search:
+	for i := 0; i < 200; i++ {
+		for j := 0; j < 200; j++ {
+			for k := 0; k < 200; k++ {
+				p, x, y = fmt.Sprintf("P%d", i), fmt.Sprintf("X%d", j), fmt.Sprintf("Y%d", k)
+				if home(p) == home(x) && relHash(y) < relHash(x) && home(y) != home(x) {
+					break search
+				}
+			}
+		}
+	}
+	if home(p) != home(x) || relHash(y) >= relHash(x) || home(y) == home(x) {
+		t.Fatal("no relation triple with the required homes")
+	}
+
+	e := New(flightsDB(t), Config{Mode: Incremental, Shards: shards})
+	defer e.Close()
+	var bridge *Handle
+	var fired atomic.Bool
+	e.testEvalHook = func([]ir.QueryID) {
+		if !fired.CompareAndSwap(false, true) {
+			return
+		}
+		// Runs on the batch's goroutine, between the P pair's admission and
+		// the X pair's. Its head X(Z, ·) and post Y(K, ·) unify with
+		// nothing, so the bridge only merges the families.
+		var err error
+		if bridge, err = e.Submit(ir.MustParse(0, fmt.Sprintf("{%s(K, w)} %s(Z, w) :- F(w, Rome)", y, x))); err != nil {
+			t.Error(err)
+		}
+	}
+	hs, err := e.SubmitBatch([]*ir.Query{
+		ir.MustParse(0, fmt.Sprintf("{%s(B, x)} %s(A, x) :- F(x, Paris)", p, p)),
+		ir.MustParse(0, fmt.Sprintf("{%s(A, y)} %s(B, y) :- F(y, Paris)", p, p)),
+		ir.MustParse(0, fmt.Sprintf("{%s(B, u)} %s(A, u) :- F(u, Paris)", x, x)),
+		ir.MustParse(0, fmt.Sprintf("{%s(A, v)} %s(B, v) :- F(v, Paris)", x, x)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bridge == nil {
+		t.Fatal("the batch's round never reached the evaluation hook")
+	}
+	for i, h := range hs {
+		if r := mustResult(t, h); r.Status != StatusAnswered {
+			t.Fatalf("batch member %d: %v (%s)", i, r.Status, r.Detail)
+		}
+	}
+	// Every delivery ran synchronously inside SubmitBatch, and a handle's
+	// buffer holds one Result, so a double delivery would have hung the
+	// batch. The bridge waits for partners that never come.
+	select {
+	case r := <-bridge.Done():
+		t.Fatalf("bridge resolved: %v", r)
+	default:
+	}
+	st := e.Stats()
+	if st.RouterPasses != 3 {
+		t.Fatalf("%d router passes, want 3 (batch, bridge, batch remainder)", st.RouterPasses)
+	}
+	if got := st.PerShard[home(y)].Answered; got != 2 {
+		t.Fatalf("re-homed shard %d answered %d, want the X pair", home(y), got)
+	}
+	if got := st.PerShard[home(p)].Answered; got != 2 {
+		t.Fatalf("original shard %d answered %d, want the P pair", home(p), got)
+	}
+	if st.Submitted != 5 || st.Answered != 4 || st.Pending != 1 {
+		t.Fatalf("submitted %d, answered %d, pending %d; want 5, 4 and the bridge", st.Submitted, st.Answered, st.Pending)
 	}
 }

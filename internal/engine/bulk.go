@@ -1,12 +1,8 @@
 package engine
 
 import (
-	"fmt"
-	"time"
-
 	"entangle/internal/ir"
 	"entangle/internal/match"
-	"entangle/internal/wal"
 )
 
 // BulkOptions tunes SubmitBulk.
@@ -52,45 +48,11 @@ func (e *Engine) SubmitBulk(qs []*ir.Query, opt BulkOptions) ([]*Handle, error) 
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	for i, q := range qs {
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("bulk query %d: %w", i, err)
-		}
-	}
 	e.lifeMu.RLock()
 	defer e.lifeMu.RUnlock()
-	if e.closed {
-		return nil, ErrClosed
-	}
-	if err := e.admitCap(len(qs)); err != nil {
+	ps, err := e.admitArrivals(qs, "bulk")
+	if err != nil {
 		return nil, err
-	}
-	n := len(qs)
-	items := make([]bulkItem, n)
-	relss := make([][]string, n)
-	handles := make([]*Handle, n)
-	var recs []wal.Record
-	if e.wal != nil {
-		recs = make([]wal.Record, n)
-	}
-	now := e.now()
-	for i, q := range qs {
-		id := ir.QueryID(e.nextID.Add(1))
-		h := &Handle{ID: id, ch: make(chan Result, 1)}
-		relss[i] = coordRels(q)
-		items[i] = bulkItem{renamed: q.RenamedCopy(id), rels: relss[i], handle: h, at: now}
-		handles[i] = h
-		if e.wal != nil {
-			items[i].src = q.String()
-			recs[i] = wal.AdmitRecord(int64(id), q.Choose, q.Owner, items[i].src, now.UnixNano())
-		}
-	}
-	// One write-ahead append covers the whole bulk, before any item can
-	// become visible to coordination.
-	if e.wal != nil {
-		if err := e.wal.Append(recs...); err != nil {
-			return nil, fmt.Errorf("engine: wal admit: %w", err)
-		}
 	}
 	e.bulkLoads.Add(1)
 
@@ -98,24 +60,12 @@ func (e *Engine) SubmitBulk(qs []*ir.Query, opt BulkOptions) ([]*Handle, error) 
 	// submitGrouped skeleton, which hands every group over in ascending
 	// input (= ID) order — the order the safety sweep resolves conflicts
 	// in, so a bulk's verdicts are reproducible however its groups land.
-	var group []bulkItem // reused per-shard ingest slice
-	// Post-ingest coordination rounds are snapshotted under each shard's
-	// ingest lock hold but evaluated only after the whole grouped submission
-	// returns: the bulk's flush is the last thing to happen on each touched
-	// shard, so deferral cannot reorder it against any same-bulk admission,
-	// and the rounds of all touched shards then pipeline on the worker pool.
-	type shardRounds struct {
-		s  *shard
-		rb roundBatch
-	}
-	var batches []shardRounds
-	err := e.submitGrouped(relss, func(s *shard, idxs []int) error {
-		group = group[:0]
-		for _, i := range idxs {
-			group = append(group, items[i])
-		}
+	// Each touched shard ingests its whole group, then the bulk's flush
+	// rounds are snapshotted under the same lock hold and evaluated once it
+	// is released: the flush is the last thing the bulk does on that shard.
+	err = e.submitGrouped(ps, func(s *shard, group []*pendingQuery, rb *roundBatch) ([]*pendingQuery, error) {
 		if err := s.bulkLoad(group); err != nil {
-			return err // unreachable: IDs are engine-assigned and fresh
+			return nil, err // unreachable: IDs are engine-assigned and fresh
 		}
 		if !opt.DeferFlush {
 			e.flushRounds.Add(1)
@@ -125,32 +75,15 @@ func (e *Engine) SubmitBulk(qs []*ir.Query, opt BulkOptions) ([]*Handle, error) 
 			// exactly as migration-adopted queries do.
 			e.flushRounds.Add(1)
 		} else {
-			return nil
+			return nil, nil
 		}
-		batches = append(batches, shardRounds{s: s})
-		s.collectFlushRounds(&batches[len(batches)-1].rb)
-		return nil
+		s.collectFlushRounds(rb)
+		return nil, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range batches {
-		e.processRounds(batches[i].s, &batches[i].rb)
-	}
-	return handles, nil
-}
-
-// bulkItem carries one bulk arrival through its shard's set-at-a-time
-// ingest. at is the item's submission time — SubmitBulk stamps the call
-// time on every item, while crash recovery restores each pending query's
-// ORIGINAL submission time so staleness deadlines survive a restart. src
-// is the original query text for checkpointing (durable engines only).
-type bulkItem struct {
-	renamed *ir.Query
-	rels    []string
-	handle  *Handle
-	at      time.Time
-	src     string
+	return handlesOf(ps), nil
 }
 
 // postFeed identifies one postcondition slot of one query — the unit the
@@ -161,24 +94,27 @@ type postFeed struct {
 }
 
 // bulkLoad ingests a group of bulk arrivals set-at-a-time, under the shard
-// lock the caller holds: one graph pass indexes every atom and discovers
-// every unifiability edge (graph.BulkAdd), one safety sweep over the
-// ingested set decides admission, and survivors are registered as pending.
+// lock the caller holds. Each arrival keeps its own submission time:
+// SubmitBulk stamps the call time, while crash recovery restores each
+// pending query's ORIGINAL time so staleness deadlines survive a restart.
+// One graph pass indexes every atom and discovers every unifiability edge
+// (graph.BulkAdd), one safety sweep over the ingested set decides
+// admission, and survivors are registered as pending.
 // No per-query incremental evaluation runs; the component index re-derives
 // each touched component once, at the flush (or probe) that follows.
-func (s *shard) bulkLoad(items []bulkItem) error {
-	qs := make([]*ir.Query, len(items))
-	for i, it := range items {
-		qs[i] = it.renamed
+func (s *shard) bulkLoad(ps []*pendingQuery) error {
+	qs := make([]*ir.Query, len(ps))
+	for i, p := range ps {
+		qs[i] = p.renamed
 	}
 	if err := s.g.BulkAdd(qs); err != nil {
 		return err
 	}
 	verdicts := s.sweepUnsafe(qs)
-	for i, it := range items {
-		id := it.renamed.ID
+	for i, p := range ps {
+		id := p.renamed.ID
 		s.stats.Submitted++
-		s.record(EventSubmitted, id, it.renamed.Owner)
+		s.record(EventSubmitted, id, p.renamed.Owner)
 		if err := verdicts[i]; err != nil {
 			// Unsafe: withdraw the query's atoms and edges from the graph —
 			// later sweeps and matching must see exactly the admitted set —
@@ -187,17 +123,17 @@ func (s *shard) bulkLoad(items []bulkItem) error {
 			s.stats.RejectedUnsafe++
 			s.record(EventUnsafe, id, err.Error())
 			s.eng.logUnsafe(id, err)
-			it.handle.deliver(Result{QueryID: id, Status: StatusUnsafe, Detail: err.Error()})
+			p.handle.deliver(Result{QueryID: id, Status: StatusUnsafe, Detail: err.Error()})
 			continue
 		}
-		s.checker.AdmitUnchecked(it.renamed)
-		s.pending[id] = &pendingQuery{renamed: it.renamed, rels: it.rels, handle: it.handle, submitted: it.at, src: it.src}
+		s.checker.AdmitUnchecked(p.renamed)
+		s.pending[id] = p
 		s.eng.pendingGauge.Add(1)
 		if s.eng.cfg.StaleAfter > 0 {
-			s.stale.push(staleItem{at: it.at, id: id})
+			s.stale.push(staleItem{at: p.submitted, id: id})
 			s.compactStaleIfNeeded()
 		}
-		s.eng.router.addPending(it.rels[0], 1)
+		s.eng.router.addPending(p.rels[0], 1)
 		if s.eng.cfg.Mode == SetAtATime {
 			s.sinceFl++
 		}

@@ -234,7 +234,7 @@ func TestSubmitBulkEquivalence(t *testing.T) {
 
 				// Mode 1 of 3 — one-at-a-time singles on a set-at-a-time
 				// engine (the pre-batch reference).
-				singles := runWorkload(t, db, Config{Mode: SetAtATime, Shards: shards}, qs)
+				singles := runWorkload(t, db, Config{Mode: SetAtATime, Shards: shards}, qs, 0)
 				assertSameOutcomes(t, "singles", want, singles)
 
 				// Mode 3 of 3 — bulk, across engine modes and flush styles.

@@ -107,10 +107,7 @@ func (e *Engine) restorePending(pending []wal.PendingQuery) error {
 	if len(pending) == 0 {
 		return nil
 	}
-	n := len(pending)
-	items := make([]bulkItem, n)
-	relss := make([][]string, n)
-	handles := make([]*Handle, n)
+	ps := make([]*pendingQuery, len(pending))
 	for i, p := range pending {
 		q, err := ir.Parse(0, p.IR)
 		if err != nil {
@@ -123,30 +120,18 @@ func (e *Engine) restorePending(pending []wal.PendingQuery) error {
 		if err := q.Validate(); err != nil {
 			return fmt.Errorf("engine: recover pending query %d: %w", p.ID, err)
 		}
-		id := ir.QueryID(p.ID)
-		h := &Handle{ID: id, ch: make(chan Result, 1)}
-		relss[i] = coordRels(q)
-		items[i] = bulkItem{
-			renamed: q.RenamedCopy(id), rels: relss[i], handle: h,
-			at: time.Unix(0, p.SubmittedUnixNano), src: p.IR,
-		}
-		handles[i] = h
+		ps[i] = newPending(q, ir.QueryID(p.ID), time.Unix(0, p.SubmittedUnixNano), p.IR)
 	}
-	var group []bulkItem
-	err := e.submitGrouped(relss, func(s *shard, idxs []int) error {
-		group = group[:0]
-		for _, i := range idxs {
-			group = append(group, items[i])
-		}
+	err := e.submitGrouped(ps, func(s *shard, group []*pendingQuery, _ *roundBatch) ([]*pendingQuery, error) {
 		// Deferred ingest: no coordination round here — Open flushes once
 		// after the WAL is attached, so re-coordinated deliveries are
 		// logged like any others.
-		return s.bulkLoad(group)
+		return nil, s.bulkLoad(group)
 	})
 	if err != nil {
 		return err
 	}
-	e.recovered = handles
+	e.recovered = handlesOf(ps)
 	return nil
 }
 

@@ -58,11 +58,12 @@
 // round can never deliver, and outcomes are observationally identical to
 // evaluating under the lock. Submissions to a shard therefore proceed while
 // that shard's components are being evaluated, and the pool is fed by every
-// shard, so concurrent flushes pipeline across the engine. SubmitBulk and
-// crash recovery (restorePending followed by Flush) take this path too. The
-// one exception is SubmitBatch, which evaluates synchronously under the held
-// lock: batch ≡ sequential equivalence requires each closing component to
-// retire before the next batch member's admission is decided.
+// shard, so concurrent flushes pipeline across the engine. Every submission
+// path takes this one pipeline: Submit, SubmitBulk, crash recovery
+// (restorePending followed by Flush), and SubmitBatch, which admits each
+// shard's group under one lock hold and releases it only while a member's
+// round evaluates — each closing component retires before the next member's
+// admission is decided, which is what batch ≡ sequential equivalence needs.
 package engine
 
 import (
@@ -305,12 +306,15 @@ type Stats struct {
 
 	// RouterPasses counts routing passes on the submission path: one per
 	// Submit retry loop iteration and one per SubmitBatch round, however
-	// many queries the round resolves. SubmitLocks counts shard lock
-	// acquisitions on the submission path: one per Submit iteration, one
-	// per touched shard per SubmitBatch round. Both are engine-level (zero
-	// in PerShard, excluded from aggregation) and exist to make the batch
-	// fast path's amortisation observable: a batch of N queries costs 1
-	// router pass and ≤ min(N, Shards) submit locks instead of N of each.
+	// many queries the round resolves. SubmitLocks counts shard admission
+	// lock acquisitions: one per Submit iteration, one per touched shard per
+	// SubmitBatch round. The re-acquisitions that settle a coordination round
+	// after its out-of-lock evaluation — Submit's after its arrival,
+	// SubmitBatch's between members — are not admission locks and are not
+	// counted. Both are engine-level (zero in PerShard, excluded from
+	// aggregation) and exist to make the batch fast path's amortisation
+	// observable: a batch of N queries costs 1 router pass and
+	// ≤ min(N, Shards) submit locks instead of N of each.
 	RouterPasses int
 	SubmitLocks  int
 	// BulkLoads counts SubmitBulk calls; BulkFlushes counts the per-shard
@@ -411,6 +415,31 @@ type pendingQuery struct {
 	src string
 }
 
+// newPending builds an arrival once, at admission, for every submission
+// path: one copy of q — RenamedCopy fuses the defensive clone (the caller
+// keeps q) with ID assignment and the rename-apart pass; the original
+// variable names are never needed again, as answers carry only ground
+// tuples — plus its coordination signature and handle. id, at and src are
+// arguments because crash recovery passes the originals.
+func newPending(q *ir.Query, id ir.QueryID, at time.Time, src string) *pendingQuery {
+	return &pendingQuery{
+		renamed:   q.RenamedCopy(id),
+		rels:      coordRels(q),
+		handle:    &Handle{ID: id, ch: make(chan Result, 1)},
+		submitted: at,
+		src:       src,
+	}
+}
+
+// handlesOf returns the arrivals' handles, in order.
+func handlesOf(ps []*pendingQuery) []*Handle {
+	hs := make([]*Handle, len(ps))
+	for i, p := range ps {
+		hs[i] = p.handle
+	}
+	return hs
+}
+
 // Engine is the D3C coordination module. Safe for concurrent use: requests
 // are routed to shards that lock independently (see the package comment).
 //
@@ -457,10 +486,10 @@ type Engine struct {
 	workersUp   atomic.Bool
 	poolSize    int
 	evalRetries atomic.Int64
-	// testEvalHook, when non-nil, runs at the start of every out-of-lock
-	// round evaluation with the component's members. Tests use it to stall
-	// or mutate the engine mid-round; it must be set before any submission
-	// and is never set in production.
+	// testEvalHook, when non-nil, runs at the start of every round
+	// evaluation, out of lock, with the component's members. Tests use it
+	// to stall or mutate the engine mid-round; it must be set before any
+	// submission and is never set in production.
 	testEvalHook func(members []ir.QueryID)
 	// migEpoch increments whenever a family merge moves pending queries
 	// between shards. Stats uses it to take an exact aggregate without
@@ -609,16 +638,8 @@ func (e *Engine) Submit(q *ir.Query) (*Handle, error) {
 	if err := e.admitCap(1); err != nil {
 		return nil, err
 	}
-	// One copy, not three: RenamedCopy fuses the defensive clone (the
-	// caller keeps q) with ID assignment and the rename-apart pass. The
-	// original variable names are never needed again — answers carry only
-	// ground tuples.
 	id := ir.QueryID(e.nextID.Add(1))
-	renamed := q.RenamedCopy(id)
-	h := &Handle{ID: id, ch: make(chan Result, 1)}
-	rels := coordRels(q)
 	now := e.now()
-
 	// Write-ahead: the admission is durable before the query can become
 	// visible to coordination, so no delivered result can ever reference an
 	// unlogged admission. A failed append rejects the submission outright.
@@ -629,10 +650,11 @@ func (e *Engine) Submit(q *ir.Query) (*Handle, error) {
 			return nil, fmt.Errorf("engine: wal admit: %w", err)
 		}
 	}
+	p := newPending(q, id, now, src)
 
 	for {
 		e.routerPasses.Add(1)
-		target, root, needsMigration, gen := e.router.route(rels)
+		target, root, needsMigration, gen := e.router.route(p.rels)
 		if needsMigration {
 			e.migrateFamily(root)
 		}
@@ -650,7 +672,7 @@ func (e *Engine) Submit(q *ir.Query) (*Handle, error) {
 			continue
 		}
 		var rb roundBatch
-		err := s.submit(renamed, rels, h, now, src, &rb)
+		err := s.submit(p, &rb)
 		s.mu.Unlock()
 		if err != nil {
 			return nil, err
@@ -659,7 +681,7 @@ func (e *Engine) Submit(q *ir.Query) (*Handle, error) {
 		// of lock: concurrent submissions to the same shard proceed while
 		// the component is matched and executed.
 		e.processRounds(s, &rb)
-		return h, nil
+		return p.handle, nil
 	}
 }
 
@@ -784,109 +806,122 @@ func (e *Engine) migrateFamily(root string) {
 // locking cost that dominates bulk loads: every round resolves ALL remaining
 // queries with one router pass (a single router mutex acquisition, however
 // large the batch) and then admits each group of same-shard queries under
-// ONE shard lock acquisition, in ascending shard order. Queries are admitted
-// in batch order within each shard, so a batch is observationally equivalent
-// to submitting its queries one at a time: the safety check sees the same
-// admission sequence, incremental evaluation fires at the same points, and
-// per-shard FlushEvery accounting is unchanged. Handles are returned in
-// input order, each delivering exactly one Result; Handle.Notify fans them
-// into one stream without a goroutine per query.
+// ONE shard admission lock acquisition, in ascending shard order. Queries are
+// admitted in batch order within each shard, and a member that triggers a
+// coordination round (an incremental closing arrival, or a FlushEvery
+// crossing) releases the lock while that round evaluates and settles, as
+// Submit does, before the next member is admitted. A batch is therefore
+// observationally equivalent to submitting its queries one at a time: the
+// safety check sees the same admission sequence, incremental evaluation
+// fires at the same points, and per-shard FlushEvery accounting is
+// unchanged. Handles are returned in input order, each delivering exactly
+// one Result; Handle.Notify fans them into one stream without a goroutine
+// per query.
 //
 // A concurrent family merge can invalidate routes between the router pass
-// and a shard lock (detected by the generation check, exactly as in Submit);
-// only the not-yet-admitted remainder of the batch is re-routed, so extra
-// passes occur only under cross-submitter merge races, not in steady state.
+// and a shard lock, or while a member's round evaluates (detected by the
+// generation check, exactly as in Submit); only the not-yet-admitted
+// remainder of the batch is re-routed, so extra passes occur only under
+// cross-submitter merge races, not in steady state.
 func (e *Engine) SubmitBatch(qs []*ir.Query) ([]*Handle, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	for i, q := range qs {
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("batch query %d: %w", i, err)
-		}
-	}
 	e.lifeMu.RLock()
 	defer e.lifeMu.RUnlock()
+	ps, err := e.admitArrivals(qs, "batch")
+	if err != nil {
+		return nil, err
+	}
+	err = e.submitGrouped(ps, func(s *shard, group []*pendingQuery, rb *roundBatch) ([]*pendingQuery, error) {
+		for k, p := range group {
+			if err := s.submit(p, rb); err != nil {
+				return nil, err // unreachable: IDs are fresh and Check precedes Admit
+			}
+			if !rb.empty() {
+				return group[k+1:], nil
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return handlesOf(ps), nil
+}
+
+// admitArrivals is the admission prologue SubmitBatch and SubmitBulk share:
+// validate every query (what names the caller in errors), refuse on a closed
+// or overloaded engine, build each arrival once, and log the whole set
+// write-ahead in ONE append — the write-ahead cost amortises the same way
+// the router pass and shard locks do, and no arrival becomes visible to
+// coordination before its admission is durable. Caller holds e.lifeMu
+// (read).
+func (e *Engine) admitArrivals(qs []*ir.Query, what string) ([]*pendingQuery, error) {
+	for i, q := range qs {
+		if err := q.Validate(); err != nil {
+			return nil, fmt.Errorf("%s query %d: %w", what, i, err)
+		}
+	}
 	if e.closed {
 		return nil, ErrClosed
 	}
 	if err := e.admitCap(len(qs)); err != nil {
 		return nil, err
 	}
-	n := len(qs)
-	renamed := make([]*ir.Query, n)
-	relss := make([][]string, n)
-	handles := make([]*Handle, n)
-	var srcs []string
+	ps := make([]*pendingQuery, len(qs))
 	var recs []wal.Record
 	if e.wal != nil {
-		srcs = make([]string, n)
-		recs = make([]wal.Record, n)
+		recs = make([]wal.Record, len(qs))
 	}
 	now := e.now()
 	for i, q := range qs {
 		id := ir.QueryID(e.nextID.Add(1))
-		renamed[i] = q.RenamedCopy(id)
-		relss[i] = coordRels(q)
-		handles[i] = &Handle{ID: id, ch: make(chan Result, 1)}
+		var src string
 		if e.wal != nil {
-			srcs[i] = q.String()
-			recs[i] = wal.AdmitRecord(int64(id), q.Choose, q.Owner, srcs[i], now.UnixNano())
+			src = q.String()
+			recs[i] = wal.AdmitRecord(int64(id), q.Choose, q.Owner, src, now.UnixNano())
 		}
+		ps[i] = newPending(q, id, now, src)
 	}
-	// One append for the whole batch: the write-ahead cost amortises the
-	// same way the batch's router pass and shard locks do.
 	if e.wal != nil {
 		if err := e.wal.Append(recs...); err != nil {
 			return nil, fmt.Errorf("engine: wal admit: %w", err)
 		}
 	}
-	err := e.submitGrouped(relss, func(s *shard, group []int) error {
-		for _, i := range group {
-			var src string
-			if srcs != nil {
-				src = srcs[i]
-			}
-			// rb == nil: each closing component evaluates synchronously
-			// under the held shard lock, so the next batch member's
-			// admission sees it retired — exactly what sequential
-			// submission would see (batch ≡ sequential equivalence).
-			if err := s.submit(renamed[i], relss[i], handles[i], now, src, nil); err != nil {
-				return err // unreachable: IDs are fresh and Check precedes Admit
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return handles, nil
+	return ps, nil
 }
 
-// submitGrouped is the shared routing/regrouping skeleton of SubmitBatch
-// and SubmitBulk: every round resolves ALL remaining items with one router
-// pass, groups them by home shard, and hands each group — in ascending
-// input order, under its shard's lock, with the routing generation
-// re-validated — to the ingest callback. relss holds one coordination
-// signature per item; group carries indices into it.
+// submitGrouped is the shared routing/regrouping skeleton of SubmitBatch,
+// SubmitBulk and crash recovery: every round resolves ALL remaining arrivals
+// with one router pass, groups them by home shard, and hands each group — in
+// ascending input order, under its shard's lock, with the routing generation
+// re-validated — to the ingest callback. Every caller passes ps in input
+// order with ascending IDs (engine-assigned, or recovery's ID-sorted
+// pending set), so ID order is input order.
+//
+// ingest admits a prefix of its group. If it leaves coordination rounds in
+// rb, it returns the unadmitted rest; the shard lock is then released while
+// processRounds evaluates and settles those rounds, and re-acquired (not
+// counted in SubmitLocks) for the rest after the generation is re-checked.
 //
 // A concurrent family merge between the router pass and a shard lock is
-// detected by the generation check; groups ingested before the bump
+// detected by the generation check; members ingested before the bump
 // validated their routes under their own shard locks, so they stand, and
-// only the remainder re-routes. The remainder is re-sorted back to input
+// only the remainder re-routes. The remainder is re-sorted back to ID
 // order before the next round: regrouping collects it shard by shard,
-// which interleaves the original order, and both callers' admission-order
-// contracts (batch order for SubmitBatch, ID-order safety verdicts for
-// SubmitBulk) require every group to ascend even after a retry.
-func (e *Engine) submitGrouped(relss [][]string, ingest func(s *shard, group []int) error) error {
-	remaining := make([]int, len(relss))
-	for i := range remaining {
-		remaining[i] = i
-	}
+// which interleaves the original order, and every caller's admission-order
+// contract (batch order for SubmitBatch, ID-order safety verdicts for
+// SubmitBulk) requires every group to ascend even after a retry.
+func (e *Engine) submitGrouped(ps []*pendingQuery, ingest func(s *shard, group []*pendingQuery, rb *roundBatch) (rest []*pendingQuery, err error)) error {
+	remaining := ps
+	// One batch for the whole call: it escapes to the heap through ingest,
+	// and processRounds always leaves it empty for reuse.
+	var rb roundBatch
 	for len(remaining) > 0 {
 		sigs := make([][]string, len(remaining))
-		for j, i := range remaining {
-			sigs[j] = relss[i]
+		for j, p := range remaining {
+			sigs[j] = p.rels
 		}
 		e.routerPasses.Add(1)
 		homes, _, migrate, gen := e.router.routeBatch(sigs)
@@ -897,38 +932,47 @@ func (e *Engine) submitGrouped(relss [][]string, ingest func(s *shard, group []i
 		// sequence deterministic. Input order is preserved within a group,
 		// which is all determinism needs: queries on different shards are in
 		// different families and cannot interact.
-		groups := make(map[int][]int, len(e.shards))
-		for j, i := range remaining {
-			groups[homes[j]] = append(groups[homes[j]], i)
+		groups := make(map[int][]*pendingQuery, len(e.shards))
+		for j, p := range remaining {
+			groups[homes[j]] = append(groups[homes[j]], p)
 		}
 		order := make([]int, 0, len(groups))
 		for t := range groups {
 			order = append(order, t)
 		}
 		sort.Ints(order)
-		var retry []int
+		var retry []*pendingQuery
 		stale := false
 		for _, t := range order {
+			group := groups[t]
 			if stale {
-				retry = append(retry, groups[t]...)
+				retry = append(retry, group...)
 				continue
 			}
 			s := e.shards[t]
 			s.mu.Lock()
 			e.submitLocks.Add(1)
-			if e.router.generation() != gen {
+			for {
+				if e.router.generation() != gen {
+					s.mu.Unlock()
+					stale = true
+					retry = append(retry, group...)
+					break
+				}
+				rest, err := ingest(s, group, &rb)
 				s.mu.Unlock()
-				stale = true
-				retry = append(retry, groups[t]...)
-				continue
-			}
-			err := ingest(s, groups[t])
-			s.mu.Unlock()
-			if err != nil {
-				return err
+				if err != nil {
+					return err
+				}
+				e.processRounds(s, &rb)
+				if len(rest) == 0 {
+					break
+				}
+				group = rest
+				s.mu.Lock()
 			}
 		}
-		sort.Ints(retry)
+		sort.Slice(retry, func(a, b int) bool { return retry[a].renamed.ID < retry[b].renamed.ID })
 		remaining = retry
 	}
 	return nil

@@ -30,18 +30,32 @@ func outcomeKey(r Result) string {
 
 // runWorkload submits qs in order on a fresh engine over db, flushes, and
 // returns the outcome per engine-assigned query ID ("pending" for queries
-// still waiting after the final flush).
-func runWorkload(t *testing.T, db *memdb.DB, cfg Config, qs []*ir.Query) map[ir.QueryID]string {
+// still waiting after the final flush). batch 0 submits one query at a time
+// through Submit; batch > 0 submits consecutive chunks of that many queries
+// through SubmitBatch. Either way IDs are assigned in input order, so runs
+// that differ only in batch size are comparable per ID.
+func runWorkload(t *testing.T, db *memdb.DB, cfg Config, qs []*ir.Query, batch int) map[ir.QueryID]string {
 	t.Helper()
 	e := New(db, cfg)
 	defer e.Close()
 	handles := make([]*Handle, 0, len(qs))
-	for _, q := range qs {
-		h, err := e.Submit(q)
+	for len(qs) > 0 {
+		if batch == 0 {
+			h, err := e.Submit(qs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles = append(handles, h)
+			qs = qs[1:]
+			continue
+		}
+		n := min(batch, len(qs))
+		hs, err := e.SubmitBatch(qs[:n])
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		handles = append(handles, hs...)
+		qs = qs[n:]
 	}
 	e.Flush()
 	out := make(map[ir.QueryID]string, len(handles))
@@ -63,6 +77,12 @@ func runWorkload(t *testing.T, db *memdb.DB, cfg Config, qs []*ir.Query) map[ir.
 // paper's correctness argument for partition-local processing (Section
 // 4.1.2) carried over to shards: routing keeps every unifiability component
 // on one shard, so sharding must be observationally invisible.
+//
+// Each case also pins batch ≡ sequential per query: for 1 and 8 shards,
+// CHOOSE seeds 0 and 7, and (set-at-a-time) with and without a FlushEvery
+// backlog bound, submitting the workload through SubmitBatch in chunks of
+// 1, 7 and the whole list must give every query the outcome it gets when
+// submitted alone.
 func TestShardedSingleShardEquivalence(t *testing.T) {
 	g := workload.NewGraph(workload.Config{N: 600, AvgDeg: 8, Seed: 21, Airports: 30})
 	db := memdb.New()
@@ -113,8 +133,8 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 		for _, w := range workloads {
 			t.Run(fmt.Sprintf("%s/%s", mode, w.name), func(t *testing.T) {
 				qs := w.gen()
-				single := runWorkload(t, db, Config{Mode: mode, Shards: 1}, qs)
-				sharded := runWorkload(t, db, Config{Mode: mode, Shards: 8}, qs)
+				single := runWorkload(t, db, Config{Mode: mode, Shards: 1}, qs, 0)
+				sharded := runWorkload(t, db, Config{Mode: mode, Shards: 8}, qs, 0)
 				if len(single) != len(sharded) {
 					t.Fatalf("outcome counts differ: %d vs %d", len(single), len(sharded))
 				}
@@ -133,6 +153,28 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 				if strings.Contains(w.name, "best") || strings.Contains(w.name, "cliques") {
 					if resolved == 0 {
 						t.Fatal("workload never resolved anything; equivalence is vacuous")
+					}
+				}
+
+				flushEvery := []int{0}
+				if mode == SetAtATime {
+					flushEvery = append(flushEvery, 5)
+				}
+				for _, fe := range flushEvery {
+					for _, shards := range []int{1, 8} {
+						for _, seed := range []int64{0, 7} {
+							cfg := Config{Mode: mode, Shards: shards, Seed: seed, FlushEvery: fe}
+							seq := runWorkload(t, db, cfg, qs, 0)
+							for _, chunk := range []int{1, 7, len(qs)} {
+								batched := runWorkload(t, db, cfg, qs, chunk)
+								for id, want := range seq {
+									if got := batched[id]; got != want {
+										t.Fatalf("flushEvery=%d shards=%d seed=%d chunk=%d: query %d: sequential %q, batched %q",
+											fe, shards, seed, chunk, id, want, got)
+									}
+								}
+							}
+						}
 					}
 				}
 			})

@@ -69,9 +69,9 @@ func TestCompiledLegacyEvaluatorEquivalence(t *testing.T) {
 		for _, w := range workloads {
 			t.Run(fmt.Sprintf("%s/%s", mode, w.name), func(t *testing.T) {
 				qs := w.gen()
-				compiled := runWorkload(t, db, Config{Mode: mode, Shards: 1, Seed: 12345}, qs)
+				compiled := runWorkload(t, db, Config{Mode: mode, Shards: 1, Seed: 12345}, qs, 0)
 				legacy := runWorkload(t, db, Config{Mode: mode, Shards: 1, Seed: 12345,
-					Match: match.Options{LegacyEval: true}}, qs)
+					Match: match.Options{LegacyEval: true}}, qs, 0)
 				if len(compiled) != len(legacy) {
 					t.Fatalf("outcome counts differ: %d vs %d", len(compiled), len(legacy))
 				}

@@ -68,9 +68,9 @@ func TestCachedFreshPlanEquivalence(t *testing.T) {
 		for _, w := range workloads {
 			t.Run(fmt.Sprintf("%s/%s", mode, w.name), func(t *testing.T) {
 				qs := w.gen()
-				cached := runWorkload(t, db, Config{Mode: mode, Shards: 1, Seed: 12345}, qs)
+				cached := runWorkload(t, db, Config{Mode: mode, Shards: 1, Seed: 12345}, qs, 0)
 				fresh := runWorkload(t, db, Config{Mode: mode, Shards: 1, Seed: 12345,
-					PlanCacheSize: -1}, qs)
+					PlanCacheSize: -1}, qs, 0)
 				if len(cached) != len(fresh) {
 					t.Fatalf("outcome counts differ: %d vs %d", len(cached), len(fresh))
 				}

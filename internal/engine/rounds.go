@@ -89,7 +89,7 @@ func (rb *roundBatch) covers(id ir.QueryID) bool {
 func (e *Engine) processRounds(s *shard, rb *roundBatch) {
 	for !rb.empty() {
 		if rb.one != nil {
-			e.evalRoundOn(rb.one, nil, true)
+			e.evalRoundOn(rb.one, nil)
 		} else {
 			e.dispatch(rb.many)
 		}
@@ -120,7 +120,7 @@ func (e *Engine) dispatch(rounds []*evalRound) {
 		select {
 		case e.evalQueue <- r:
 		default:
-			e.evalRoundOn(r, nil, true)
+			e.evalRoundOn(r, nil)
 			wg.Done()
 		}
 	}
@@ -148,23 +148,21 @@ func (e *Engine) startWorkers() {
 func (e *Engine) evalWorker() {
 	sc := match.NewScratch()
 	for r := range e.evalQueue {
-		e.evalRoundOn(r, sc, true)
+		e.evalRoundOn(r, sc)
 		r.wg.Done()
 	}
 }
 
 // evalRoundOn evaluates one round's snapshot, leaving answers and
 // rejections on the round for settling. sc pins the evaluation scratch (nil
-// falls back to the package pools). hook selects whether the test
-// instrumentation fires: true on the out-of-lock paths, false under a held
-// shard lock, where a hook calling back into the engine would deadlock.
+// falls back to the package pools). Runs out of lock.
 //
 // An evaluation error rejects the whole component with CauseEvalError
 // carrying the error text — distinct from CauseNoData, so operators can
 // tell a broken evaluation from a legitimately unmatched workload.
-func (e *Engine) evalRoundOn(r *evalRound, sc *match.Scratch, hook bool) {
+func (e *Engine) evalRoundOn(r *evalRound, sc *match.Scratch) {
 	members := r.snap.Members()
-	if hook && e.testEvalHook != nil {
+	if e.testEvalHook != nil {
 		e.testEvalHook(members)
 	}
 	ans, rej, err := match.EvaluateComponentFastWith(sc, e.db, r.snap, members, r.snap.ByID(), r.seed, e.cfg.Match)

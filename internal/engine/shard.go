@@ -77,76 +77,59 @@ func (s *shard) record(kind EventKind, id ir.QueryID, detail string) {
 	s.hist.record(Event{Time: s.eng.now(), Seq: s.eng.eventSeq.Add(1), Kind: kind, QueryID: id, Detail: detail})
 }
 
-// submit admits one arrival. renamed carries the engine-assigned ID; the
-// handle receives exactly one Result, either here (unsafe rejection,
-// incremental coordination) or later (flush, staleness, close). src is the
-// original query's text for checkpointing (empty on non-durable engines).
-//
-// rb selects what happens to any coordination round this arrival triggers
-// (incremental closing, or a FlushEvery-crossing set-at-a-time backlog).
-// Non-nil: the round is snapshotted into rb and the caller evaluates it out
-// of lock after releasing s.mu — the single-submission path. Nil: the round
-// evaluates and delivers synchronously under the held lock — the batch path,
-// where deferring a closing component past the admission of the next batch
-// member on the same shard would change what that member's safety check and
-// unifiability edges see, breaking batch ≡ sequential equivalence.
-func (s *shard) submit(renamed *ir.Query, rels []string, h *Handle, now time.Time, src string, rb *roundBatch) error {
+// submit admits one arrival, built by newPending. Its handle receives
+// exactly one Result, either here (unsafe rejection) or later (coordination
+// round, flush, staleness, close). Any coordination round the arrival
+// triggers — an incremental closing arrival, or a FlushEvery crossing of
+// the set-at-a-time backlog — is snapshotted into rb; the caller evaluates
+// it out of lock (processRounds) after releasing s.mu. Caller holds s.mu.
+func (s *shard) submit(p *pendingQuery, rb *roundBatch) error {
+	q := p.renamed
 	s.stats.Submitted++
-	s.record(EventSubmitted, renamed.ID, renamed.Owner)
+	s.record(EventSubmitted, q.ID, q.Owner)
 
 	// Admission safety check (Sections 3.1.1, 5.3.5): reject arrivals that
 	// would make the pending workload unsafe. Safety is a property of
 	// unifying atoms, and all atoms that can unify with this query's live
 	// on this shard, so the shard-local check is equivalent to a global one.
-	if err := s.checker.Check(renamed); err != nil {
+	if err := s.checker.Check(q); err != nil {
 		s.stats.RejectedUnsafe++
-		s.record(EventUnsafe, renamed.ID, err.Error())
-		s.eng.logUnsafe(renamed.ID, err)
-		h.deliver(Result{QueryID: renamed.ID, Status: StatusUnsafe, Detail: err.Error()})
+		s.record(EventUnsafe, q.ID, err.Error())
+		s.eng.logUnsafe(q.ID, err)
+		p.handle.deliver(Result{QueryID: q.ID, Status: StatusUnsafe, Detail: err.Error()})
 		return nil
 	}
 	// Check just passed under this same lock, so admission cannot re-fail;
 	// AdmitUnchecked skips the redundant second pass over the indexes.
-	s.checker.AdmitUnchecked(renamed)
-	if err := s.g.AddQuery(renamed); err != nil {
-		s.checker.Remove(renamed.ID)
+	s.checker.AdmitUnchecked(q)
+	if err := s.g.AddQuery(q); err != nil {
+		s.checker.Remove(q.ID)
 		return err
 	}
-	s.pending[renamed.ID] = &pendingQuery{renamed: renamed, rels: rels, handle: h, submitted: now, src: src}
+	s.pending[q.ID] = p
 	s.eng.pendingGauge.Add(1)
 	if s.eng.cfg.StaleAfter > 0 {
-		s.stale.push(staleItem{at: now, id: renamed.ID})
+		s.stale.push(staleItem{at: p.submitted, id: q.ID})
 		s.compactStaleIfNeeded()
 	}
 	// All of a query's signature relations are in one family (its own
 	// routing merged them), so the first relation identifies it for the
 	// family's pending-member count (which gates family GC).
-	s.eng.router.addPending(rels[0], 1)
+	s.eng.router.addPending(p.rels[0], 1)
 
 	switch s.eng.cfg.Mode {
 	case Incremental:
-		// Constant-time closedness probe: the component index already knows
-		// whether this arrival completed its component. Only then is the
-		// component snapshotted and matched; the dominant non-closing
+		// captureComponentRound starts with the component index's
+		// constant-time closedness probe, so the dominant non-closing
 		// arrival does no component traversal at all.
-		if s.g.ComponentClosed(renamed.ID) {
-			if r := s.captureComponentRound(renamed.ID); r != nil {
-				if rb != nil {
-					rb.add(r)
-				} else {
-					s.settleInline(r)
-				}
-			}
+		if r := s.captureComponentRound(q.ID); r != nil {
+			rb.add(r)
 		}
 	case SetAtATime:
 		s.sinceFl++
 		if s.eng.cfg.FlushEvery > 0 && s.sinceFl >= s.eng.cfg.FlushEvery {
 			s.eng.flushRounds.Add(1) // auto-flush is one shard-local round
-			if rb != nil {
-				s.collectFlushRounds(rb)
-			} else {
-				s.flushLocked()
-			}
+			s.collectFlushRounds(rb)
 		}
 	}
 	return nil
@@ -274,33 +257,6 @@ func (s *shard) collectFlushRounds(rb *roundBatch) {
 		}
 		rb.add(r)
 	}
-}
-
-// flushLocked runs a full flush round synchronously under the held shard
-// lock: collect, evaluate inline, deliver. SubmitBatch uses it (via submit
-// with rb == nil), where round deferral would reorder coordination against
-// later same-shard admissions.
-func (s *shard) flushLocked() {
-	var rb roundBatch
-	s.collectFlushRounds(&rb)
-	if rb.one != nil {
-		s.settleInline(rb.one)
-	}
-	for _, r := range rb.many {
-		s.settleInline(r)
-	}
-}
-
-// settleInline evaluates and delivers one captured round without releasing
-// the shard lock the caller holds. Validation is vacuous — nothing can
-// mutate the shard mid-hold. The test hook does not fire here: it exists to
-// let tests mutate the engine mid-evaluation, which under a held shard lock
-// would deadlock.
-func (s *shard) settleInline(r *evalRound) {
-	s.eng.evalRoundOn(r, nil, false)
-	s.stats.Evaluations++
-	s.deliver(r.answers, r.rejected)
-	putRound(r)
 }
 
 // validateRound reports whether a snapshotted component is still exactly the

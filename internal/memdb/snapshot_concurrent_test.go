@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSnapshotUnderConcurrentWriters races WriteSnapshot against inserts,
@@ -16,7 +17,11 @@ import (
 // arities), which is what the engine's checkpoint path relies on. Run with
 // -race. The writers are unpaced, but each deletes its own rows older than
 // a fixed window, so Base stays bounded however far they outrun the O(rows)
-// snapshots.
+// snapshots. The race is made to happen on any scheduler: snapshotting
+// starts only once every writer has landed a write, and continues past the
+// nominal count until a write lands between the first snapshot and a later
+// one (failing only at a fixed deadline) — on one CPU the snapshot loop can
+// otherwise finish before any writer is scheduled.
 func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	const window = 1000 // Base rows each writer keeps (plus the one in flight)
 	db := New()
@@ -24,7 +29,9 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 	var stop atomic.Bool
 	var writes atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
+	const writers = 3
+	wrote := make(chan struct{}, writers) // one send per writer, after its first write
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -45,15 +52,20 @@ func TestSnapshotUnderConcurrentWriters(t *testing.T) {
 					_ = db.DropTable(name)
 				}
 				writes.Add(1)
+				if i == 0 {
+					wrote <- struct{}{}
+				}
 			}
 		}(w)
 	}
+	for w := 0; w < writers; w++ {
+		<-wrote
+	}
 	const snapshots = 50
+	deadline := time.Now().Add(10 * time.Second)
 	var firstDone, lastStart int64
-	for i := 0; i < snapshots; i++ {
-		if i == snapshots-1 {
-			lastStart = writes.Load()
-		}
+	for i := 0; i < snapshots || (lastStart <= firstDone && time.Now().Before(deadline)); i++ {
+		lastStart = writes.Load()
 		var buf bytes.Buffer
 		if err := db.WriteSnapshot(&buf); err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)

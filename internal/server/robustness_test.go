@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -193,5 +194,47 @@ func TestSlowClientDoesNotWedgeServer(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Shutdown hung behind the slow client")
+	}
+}
+
+// TestServerPreparedStatementCap prepares maxPreparedStmts + 100 statements
+// on one connection: the extra prepares fail with an error naming the cap,
+// the connection stays usable, no statement id beyond the cap is issued,
+// and an early statement still executes.
+func TestServerPreparedStatementCap(t *testing.T) {
+	_, addr := startServer(t, engine.Config{Mode: engine.Incremental})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var first *ClientStmt
+	failed := 0
+	for i := 0; i < maxPreparedStmts+100; i++ {
+		st, err := c.PrepareIR(fmt.Sprintf("{} W%d('$1', x) :- Flights(x, Rome)", i))
+		if err != nil {
+			if !strings.Contains(err.Error(), fmt.Sprint(maxPreparedStmts)) {
+				t.Fatalf("prepare %d: error %q does not name the cap", i, err)
+			}
+			failed++
+			continue
+		}
+		if i >= maxPreparedStmts || st.id > maxPreparedStmts {
+			t.Fatalf("prepare %d succeeded with statement id %d past the cap %d", i, st.id, maxPreparedStmts)
+		}
+		if first == nil {
+			first = st
+		}
+	}
+	if failed != 100 {
+		t.Fatalf("%d prepares failed, want 100", failed)
+	}
+	_, ch, err := first.Execute("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := waitResult(t, ch); r.Status != "answered" {
+		t.Fatalf("early statement after the cap: %+v", r)
 	}
 }

@@ -97,8 +97,10 @@
 // execute binds the placeholders ("bindings", in order) and submits the
 // resulting query exactly like sql/ir: an ack with the engine-assigned id,
 // then the single result message. Statement ids are per connection and
-// released when it closes. Repeated executes of one statement share a
-// plan-cache shape, so the combined query compiles at most once server-side.
+// released when it closes; a connection holds at most maxPreparedStmts of
+// them, and a prepare beyond that fails with an error. Repeated executes of
+// one statement share a plan-cache shape, so the combined query compiles at
+// most once server-side.
 package server
 
 import (
@@ -273,6 +275,11 @@ type Server struct {
 // age out (a client re-sending a request 8k submissions later is asking for
 // a fresh admission, which is the pre-token behavior).
 const maxTrackedTokens = 8192
+
+// maxPreparedStmts bounds one connection's prepared-statement table. There
+// is no release op (statements die with their connection), so a prepare
+// beyond the cap fails with an error and the connection stays open.
+const maxPreparedStmts = 1024
 
 // defaultMaxInFlight is MaxInFlight's default, and the outbox bound when
 // the in-flight cap is disabled.
@@ -692,6 +699,10 @@ func (s *Server) handle(conn net.Conn, ob *outbox) {
 				return single(s.Engine.Submit(q))
 			})
 		case "prepare":
+			if len(stmts) >= maxPreparedStmts {
+				ob.send(Response{Type: "error", Error: fmt.Sprintf("prepare: connection already holds the maximum of %d prepared statements", maxPreparedStmts)})
+				continue
+			}
 			var st *engine.Stmt
 			var err error
 			switch {
