@@ -334,3 +334,61 @@ func TestExprString(t *testing.T) {
 		}
 	}
 }
+
+func TestUnknownSubqueryColumn(t *testing.T) {
+	// dst is a misspelling of dest: resolved as an outer name that occurs
+	// nowhere else, it would leave Flights unfiltered and book any flight.
+	misspelled := `SELECT 'Kramer', fno INTO ANSWER Reservation
+WHERE fno IN (SELECT fno FROM Flights WHERE dst='Paris')
+AND ('Jerry', fno) IN ANSWER Reservation CHOOSE 1`
+	_, err := Parse(1, misspelled, testSchema(), Options{})
+	if err == nil || !strings.Contains(err.Error(), "unknown column dst") {
+		t.Fatalf("misspelled column: err = %v, want one naming dst", err)
+	}
+	// A misspelled selected column is caught the same way.
+	_, err = Parse(1, `SELECT 'K', fno INTO ANSWER R WHERE fno IN (SELECT fnum FROM Flights)`, testSchema(), Options{})
+	if err == nil || !strings.Contains(err.Error(), "unknown column fnum") {
+		t.Fatalf("misspelled selected column: err = %v, want one naming fnum", err)
+	}
+
+	for name, src := range map[string]string{
+		// A correlated reference to a name the outer query also uses.
+		"correlated": `SELECT 'K', fno, d INTO ANSWER R
+WHERE d IN (SELECT pdate FROM Parties WHERE pid = 'p1')
+AND fno IN (SELECT fno FROM Flights WHERE dest = d)`,
+		// A join variable shared by two subqueries and nothing else.
+		"shared join": pairSQL,
+		// A name used twice inside one subquery joins its columns.
+		"twice in one subquery": `SELECT 'K', fno INTO ANSWER R
+WHERE fno IN (SELECT fno FROM Flights F, Airlines A WHERE F.dest = j AND A.airline = j)`,
+	} {
+		schema := MapSchema{
+			"Flights": {"fno", "dest"}, "Airlines": {"fno", "airline"},
+			"Parties": {"pid", "pdate"}, "F": {"u1", "u2"}, "U": {"u", "city"},
+		}
+		if _, err := Parse(1, src, schema, Options{}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+func TestGeneratedNameCollision(t *testing.T) {
+	// Flights' columns get the variables _fno1 and _dest2, Airlines' _fno3
+	// and _airline4. The user's outer name _fno1 is another variable: it
+	// must neither join Flights.fno to Airlines.fno nor share a name with
+	// Flights.fno in the output.
+	src := `SELECT 'K', _fno1, x INTO ANSWER R
+WHERE x IN (SELECT dest FROM Flights) AND _fno1 IN (SELECT fno FROM Airlines)`
+	tr, err := Parse(1, src, testSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := tr.Query
+	flights, airlines := q.Body[0], q.Body[1]
+	if flights.Args[0].Equal(airlines.Args[0]) || flights.Args[0].Equal(q.Heads[0].Args[1]) {
+		t.Fatalf("Flights.fno joined to the outer _fno1: %s", q)
+	}
+	if !airlines.Args[0].Equal(q.Heads[0].Args[1]) || !flights.Args[1].Equal(q.Heads[0].Args[2]) {
+		t.Fatalf("head not bound through the body: %s", q)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"entangle/internal/ir"
 )
@@ -89,31 +90,41 @@ func (p *parser) ident() (string, error) {
 }
 
 // reserved keywords that terminate expression lists.
-var reserved = map[string]bool{
-	"INTO": true, "WHERE": true, "CHOOSE": true, "AND": true,
-	"FROM": true, "IN": true, "ANSWER": true, "SELECT": true, "COUNT": true,
-}
+var reserved = [...]string{"INTO", "WHERE", "CHOOSE", "AND", "FROM", "IN", "ANSWER", "SELECT", "COUNT"}
 
-func isReserved(word string) bool { return reserved[strings.ToUpper(word)] }
+// isReserved reports whether word is a reserved keyword in any letter case.
+func isReserved(word string) bool {
+	for i := 0; i < len(word); i++ {
+		if word[i] >= utf8.RuneSelf {
+			// Upper-casing maps some non-ASCII letters onto ASCII ones
+			// (ı → I, ſ → S), so such a word is compared upper-cased.
+			word = strings.ToUpper(word)
+			break
+		}
+	}
+	for _, kw := range reserved {
+		if len(word) == len(kw) && strings.EqualFold(word, kw) {
+			return true
+		}
+	}
+	return false
+}
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
 	stmt := &SelectStmt{Choose: 1}
-	for {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Items = append(stmt.Items, e)
-		if !p.punct(",") {
-			break
-		}
+	items, err := p.parseExprList()
+	if err != nil {
+		return nil, err
 	}
+	stmt.Items = items
 	if err := p.expectKeyword("INTO"); err != nil {
 		return nil, err
 	}
+	var intoBuf [4]string
+	into := intoBuf[:0]
 	for {
 		if err := p.expectKeyword("ANSWER"); err != nil {
 			return nil, err
@@ -122,11 +133,13 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt.Into = append(stmt.Into, name)
+		into = append(into, name)
 		if !p.punct(",") {
 			break
 		}
 	}
+	stmt.Into = make([]string, len(into))
+	copy(stmt.Into, into)
 	if p.keyword("WHERE") {
 		conds, err := p.parseConditions()
 		if err != nil {
@@ -149,15 +162,39 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	return stmt, nil
 }
 
+// parseConditions parses an AND-separated list. The list collects in stack
+// scratch and is copied out once at its exact length; parseExprList does
+// the same for comma-separated expressions.
 func (p *parser) parseConditions() ([]Condition, error) {
-	var out []Condition
+	var buf [8]Condition
+	conds := buf[:0]
 	for {
 		c, err := p.parseCondition()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, c)
+		conds = append(conds, c)
 		if !p.keyword("AND") {
+			out := make([]Condition, len(conds))
+			copy(out, conds)
+			return out, nil
+		}
+	}
+}
+
+// parseExprList parses `expr [, expr]…`.
+func (p *parser) parseExprList() ([]Expr, error) {
+	var buf [8]Expr
+	exprs := buf[:0]
+	for {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		exprs = append(exprs, e)
+		if !p.punct(",") {
+			out := make([]Expr, len(exprs))
+			copy(out, exprs)
 			return out, nil
 		}
 	}
@@ -188,16 +225,9 @@ func (p *parser) parseCondition() (Condition, error) {
 			p.i++
 			return &AggCompare{Sub: agg, Op: op.text, Bound: bound.text}, nil
 		}
-		var tuple []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			tuple = append(tuple, e)
-			if !p.punct(",") {
-				break
-			}
+		tuple, err := p.parseExprList()
+		if err != nil {
+			return nil, err
 		}
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
@@ -320,7 +350,8 @@ func (p *parser) parseAggSubquery() (*AggSubquery, error) {
 // parseFromList parses `tbl [alias] [, tbl [alias]]…`, allowing the ANSWER
 // prefix when answerOK is true.
 func (p *parser) parseFromList(answerOK bool) ([]FromItem, error) {
-	var out []FromItem
+	var buf [4]FromItem
+	items := buf[:0]
 	for {
 		var item FromItem
 		if p.peekKeyword("ANSWER") {
@@ -340,8 +371,10 @@ func (p *parser) parseFromList(answerOK bool) ([]FromItem, error) {
 			item.Alias = t.text
 			p.i++
 		}
-		out = append(out, item)
+		items = append(items, item)
 		if !p.punct(",") {
+			out := make([]FromItem, len(items))
+			copy(out, items)
 			return out, nil
 		}
 	}

@@ -81,6 +81,11 @@ func (t *Table) Name() string { return t.name }
 // Columns returns a copy of the column names.
 func (t *Table) Columns() []string { return append([]string(nil), t.cols...) }
 
+// ColumnsView returns the column names without copying, for read-only
+// callers on hot paths. The slice is the table's own and must not be
+// modified; a table's columns never change after CreateTable.
+func (t *Table) ColumnsView() []string { return t.cols[:len(t.cols):len(t.cols)] }
+
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -499,9 +500,12 @@ func (c *Client) killGen(gen int) {
 	c.mu.Unlock()
 }
 
-// nextToken mints a client-unique idempotency token.
+// nextToken mints a client-unique idempotency token, <prefix>-<seq in hex>.
 func (c *Client) nextToken() string {
-	return fmt.Sprintf("%s-%x", c.tokenPrefix, c.tokenSeq.Add(1))
+	var buf [64]byte
+	b := append(buf[:0], c.tokenPrefix...)
+	b = append(b, '-')
+	return string(strconv.AppendUint(b, c.tokenSeq.Add(1), 16))
 }
 
 // registerWaiter installs the single-result channel for an accepted query.

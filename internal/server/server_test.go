@@ -315,3 +315,22 @@ AND ('A', fno) IN ANSWER R CHOOSE 1`)
 		t.Fatal("bad script must fail")
 	}
 }
+
+// TestClientTokenText pins the idempotency token format, <prefix>-<hex
+// sequence>, and that the sequence advances per token.
+func TestClientTokenText(t *testing.T) {
+	c := &Client{tokenPrefix: "18f3a2c4e5b6d7a8-1f"}
+	for seq := uint64(1); seq <= 300; seq++ {
+		want := fmt.Sprintf("%s-%x", c.tokenPrefix, seq)
+		if got := c.nextToken(); got != want {
+			t.Fatalf("token %d = %q, want %q", seq, got, want)
+		}
+	}
+	c.tokenSeq.Store(1<<64 - 2)
+	if got, want := c.nextToken(), c.tokenPrefix+"-ffffffffffffffff"; got != want {
+		t.Fatalf("token = %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.nextToken() }); n > 1 {
+		t.Fatalf("nextToken allocates %.0f times, want 1 (the token string)", n)
+	}
+}
